@@ -265,9 +265,9 @@ int RunCommitPathSweep(uint64_t txns, const std::string& trace_path) {
   if (RunCommitPath(/*async=*/false, txns, &sync_r) != 0) return 1;
   if (RunCommitPath(/*async=*/true, txns, &async_r) != 0) return 1;
 
-  // The async arm ran last, so the span/trace rings still hold its
-  // measured region (Warmup resets both before each arm). Export it
-  // before anything else touches the rings.
+  // The async arm ran last, so the span ring still holds its measured
+  // region (Warmup resets it before each arm). Export it before anything
+  // else touches the ring.
   if (!trace_path.empty()) {
     Status ts = obs::WriteChromeTraceFile(trace_path);
     if (!ts.ok()) {

@@ -13,7 +13,7 @@
 #include "common/coding.h"
 #include "common/random.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "crypto/add_hash.h"
 #include "crypto/seq_hash.h"
 #include "crypto/sha256.h"
@@ -259,15 +259,21 @@ void BM_ObsScopedLatencyTimerSamplingOff(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsScopedLatencyTimerSamplingOff);
 
-void BM_ObsTraceEmit(benchmark::State& state) {
-  auto& ring = obs::TraceRing::Global();
+// One ScopedSpan open/close (two clock reads and a ring emit) with the
+// span ring on (arg 1) and off (arg 0); off is the hot-path cost left at
+// every span site when spans are disabled.
+void BM_ObsSpanEmit(benchmark::State& state) {
+  auto& ring = obs::SpanRing::Global();
+  ring.SetEnabled(state.range(0) != 0);
   uint64_t i = 0;
   for (auto _ : state) {
-    ring.Emit(obs::TraceEventType::kWalFsync, i++, 42);
+    obs::ScopedSpan span(obs::SpanKind::kWalFsync, i++, 42);
+    benchmark::ClobberMemory();
   }
+  ring.SetEnabled(true);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ObsTraceEmit);
+BENCHMARK(BM_ObsSpanEmit)->Arg(1)->Arg(0);
 
 }  // namespace
 }  // namespace complydb

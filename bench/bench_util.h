@@ -17,7 +17,6 @@
 #include "db/compliant_db.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "tpcc/workload.h"
 
 namespace complydb {
@@ -116,12 +115,11 @@ struct TpccEnv {
   }
 
   /// Warm-up: runs `n` mix transactions, then zeroes the process-wide
-  /// metrics, the trace ring, and the span ring so the measured region
-  /// starts clean while the buffer cache and WORM files stay warm.
+  /// metrics and the span ring so the measured region starts clean while
+  /// the buffer cache and WORM files stay warm.
   Status Warmup(uint64_t n) {
     CDB_RETURN_IF_ERROR(RunTxns(n));
     obs::MetricsRegistry::Global().ResetAll();
-    obs::TraceRing::Global().Reset();
     obs::SpanRing::Global().Reset();
     return Status::OK();
   }
@@ -210,19 +208,19 @@ inline std::string StripTraceJsonFlag(int* argc, char** argv,
   return path;
 }
 
-/// Writes the per-run artifact: bench name, elapsed wall seconds, trace
-/// totals, and the full metrics registry (per-subsystem counters plus
+/// Writes the per-run artifact: bench name, elapsed wall seconds, span
+/// ring totals, and the full metrics registry (per-subsystem counters plus
 /// p50/p95/p99 latency histograms). No-op when `path` is empty.
 inline Status WriteMetricsJson(const std::string& path,
                                const std::string& name,
                                double elapsed_seconds) {
   if (path.empty()) return Status::OK();
-  auto& ring = obs::TraceRing::Global();
+  auto& ring = obs::SpanRing::Global();
   std::string json = "{\"bench\":\"" + name +
                      "\",\"elapsed_seconds\":" +
                      std::to_string(elapsed_seconds) +
-                     ",\"trace_events_total\":" + std::to_string(ring.total()) +
-                     ",\"trace_events_dropped\":" +
+                     ",\"spans_total\":" + std::to_string(ring.total()) +
+                     ",\"spans_dropped\":" +
                      std::to_string(ring.dropped()) + ",\"metrics\":" +
                      obs::MetricsRegistry::Global().ToJson() + "}\n";
   std::FILE* f = std::fopen(path.c_str(), "w");

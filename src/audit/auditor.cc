@@ -15,7 +15,6 @@
 #include "crypto/sha256.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "storage/buffer_cache.h"
 
 namespace complydb {
@@ -57,14 +56,12 @@ AuditMetrics& Am() {
   return m;
 }
 
-// Records one audit-phase timing in the histogram, the trace ring, and
-// the span ring (span causal key = the audited epoch).
+// Records one audit-phase timing in the histogram and the span ring
+// (span causal key = the audited epoch).
 void RecordPhase(obs::AuditPhase phase, obs::Histogram* hist, double seconds,
                  uint64_t epoch) {
   auto micros = static_cast<uint64_t>(seconds * 1e6);
   hist->Record(micros);
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kAuditPhase,
-                                static_cast<uint64_t>(phase), micros);
   if (obs::SpansEnabled()) {
     uint64_t end = obs::MonotonicMicros();
     obs::SpanRing::Global().Emit(obs::SpanKind::kAuditPhase, epoch,

@@ -5,7 +5,6 @@
 #include "common/coding.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace complydb {
 
@@ -535,8 +534,6 @@ Status Btree::TimeSplitLeaf(PageId leaf_pgno, size_t* freed) {
   Bm().time_splits->Inc();
   obs::MetricsRegistry::Global().GetCounter("tsb.migrated_tuples")
       ->Inc(victims.size());
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kTsbMigrate, tree_id_,
-                                leaf_pgno);
   x_guard.MarkDirty();
   return Status::OK();
 }

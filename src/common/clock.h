@@ -29,9 +29,9 @@ class SystemClock : public Clock {
 };
 
 /// Manually advanced clock. Starts at a nonzero epoch so that time 0 can
-/// mean "never" in file formats. The counter is atomic because background
-/// threads (the compliance-log shipper, parallel audit workers) stamp
-/// trace events while the driving thread advances time.
+/// mean "never" in file formats. The counter is atomic because other
+/// threads (pipeline writers, the epoch sealer) read it while the driving
+/// thread advances time.
 class SimulatedClock : public Clock {
  public:
   explicit SimulatedClock(uint64_t start_micros = 1'000'000)

@@ -2,7 +2,6 @@
 
 #include "btree/tuple.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace complydb {
 
@@ -247,9 +246,6 @@ void ComplianceLogger::NoteCached(PageId pgno, bool is_index,
 // recorded here is what the pwrite barrier waits on.
 Status ComplianceLogger::Append(const CRecord& rec) {
   Cm().records->Inc();
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kComplianceAppend,
-                                static_cast<uint64_t>(rec.type),
-                                log_->size());
   CDB_RETURN_IF_ERROR(log_->AppendUnflushed(rec));
   if (options_.async_shipping) {
     uint64_t end = log_->size();

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/telemetry_server.h"
-#include "obs/trace.h"
 
 namespace fs = std::filesystem;
 
@@ -54,11 +53,7 @@ Result<CompliantDB*> CompliantDB::Open(const DbOptions& options) {
   return db.release();
 }
 
-CompliantDB::~CompliantDB() {
-  // Detach the trace-ring timestamp source before a caller-owned clock can
-  // be destroyed (no-op if another DB already attached its own).
-  if (clock_ != nullptr) obs::TraceRing::Global().ClearClock(clock_);
-}
+CompliantDB::~CompliantDB() = default;
 
 Status CompliantDB::Init() {
   std::error_code ec;
@@ -71,9 +66,6 @@ Status CompliantDB::Init() {
     owned_clock_ = std::make_unique<SystemClock>();
     clock_ = owned_clock_.get();
   }
-  // Trace events timestamp against the database's clock so they line up
-  // with commit times in simulated-clock runs.
-  obs::TraceRing::Global().SetClock(clock_);
 
   // Embedded telemetry endpoint (opt-in). Bind failures are reported but
   // never fail the open: losing /metrics must not take the database with
@@ -1056,6 +1048,7 @@ Status CompliantDB::MaybeRegretTick() {
   last_regret_tick_ = now;
   Dm().regret_ticks->Inc();
   obs::ScopedLatencyTimer timer(Dm().regret_tick_us);
+  obs::ScopedSpan span(obs::SpanKind::kRegretTick, epoch_);
 
   // Lazy stamping catches up, then the mark/sweep dirty-page forcing
   // guarantees every committed tuple's NEW_TUPLE reaches WORM within the
@@ -1074,8 +1067,7 @@ Status CompliantDB::MaybeRegretTick() {
       CDB_RETURN_IF_ERROR(SealEpochNow());
     }
   }
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kRegretTick,
-                                disk_->writes() - writes_before);
+  span.set_arg(disk_->writes() - writes_before);
   return Status::OK();
 }
 

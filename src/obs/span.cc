@@ -7,6 +7,9 @@ namespace complydb {
 namespace obs {
 
 namespace {
+constexpr uint64_t kUnpublished = ~0ull;
+constexpr uint64_t kWriting = ~0ull - 1;
+
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
@@ -53,7 +56,21 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kEpochSeal: return "audit.epoch.seal";
     case SpanKind::kAuditIncremental: return "audit.incremental";
     case SpanKind::kSchedulerAdmit: return "txn.scheduler.admit";
+    case SpanKind::kRegretTick: return "regret.tick";
+    case SpanKind::kVacuumShred: return "vacuum.shred";
     case SpanKind::kSpanKindCount: break;
+  }
+  return "?";
+}
+
+const char* AuditPhaseName(AuditPhase phase) {
+  switch (phase) {
+    case AuditPhase::kSnapshot: return "snapshot";
+    case AuditPhase::kSummarize: return "summarize";
+    case AuditPhase::kReplay: return "replay";
+    case AuditPhase::kFinalState: return "final_state";
+    case AuditPhase::kIndexCheck: return "index_check";
+    case AuditPhase::kTotal: return "total";
   }
   return "?";
 }
@@ -64,10 +81,13 @@ uint32_t ThreadTraceId() {
   return id;
 }
 
-// All-atomic slots, same reasoning as TraceRing::Slot: concurrent
-// Emit/Snapshot are data-race-free, torn slots are filtered by seq.
+// Each slot is a seqlock over all-atomic fields, so concurrent
+// Emit/Snapshot are data-race-free and a reader never returns a slot
+// whose fields come from two different spans. `seq` holds the published
+// span's sequence number, kUnpublished before the first write, and
+// kWriting while a writer owns the slot.
 struct SpanRing::Slot {
-  std::atomic<uint64_t> seq{~0ull};
+  std::atomic<uint64_t> seq{kUnpublished};
   std::atomic<uint64_t> causal{0};
   std::atomic<uint64_t> start_us{0};
   std::atomic<uint64_t> end_us{0};
@@ -91,15 +111,27 @@ void SpanRing::Emit(SpanKind kind, uint64_t causal, uint64_t start_us,
                     uint64_t end_us, uint64_t arg) {
 #if !defined(COMPLYDB_DISABLE_METRICS)
   if (!enabled()) return;
+  const uint32_t tid = ThreadTraceId();
   uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & (capacity_ - 1)];
-  slot.seq.store(seq, std::memory_order_relaxed);
+  // Invalidate: claim the slot unless a writer a lap behind or ahead
+  // still owns it, in which case this span is given up (it counts as
+  // dropped once the ring wraps past it).
+  uint64_t cur = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if (cur == kWriting) return;
+  } while (!slot.seq.compare_exchange_weak(cur, kWriting,
+                                           std::memory_order_relaxed));
+  // Orders the claim before the field stores: a reader that sees any new
+  // field value then sees seq != the one it started from.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.causal.store(causal, std::memory_order_relaxed);
   slot.start_us.store(start_us, std::memory_order_relaxed);
   slot.end_us.store(end_us, std::memory_order_relaxed);
   slot.arg.store(arg, std::memory_order_relaxed);
   slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
-  slot.tid.store(ThreadTraceId(), std::memory_order_relaxed);
+  slot.tid.store(tid, std::memory_order_relaxed);
+  slot.seq.store(seq, std::memory_order_release);  // publish
 #else
   (void)kind;
   (void)causal;
@@ -116,15 +148,21 @@ std::vector<Span> SpanRing::Snapshot() const {
   out.reserve(end - begin);
   for (uint64_t seq = begin; seq < end; ++seq) {
     const Slot& slot = slots_[seq & (capacity_ - 1)];
+    if (slot.seq.load(std::memory_order_acquire) != seq) {
+      continue;  // overwritten, mid-write, or given up
+    }
     Span s;
-    s.seq = slot.seq.load(std::memory_order_relaxed);
-    if (s.seq != seq) continue;  // overwritten or mid-write
+    s.seq = seq;
     s.causal = slot.causal.load(std::memory_order_relaxed);
     s.start_us = slot.start_us.load(std::memory_order_relaxed);
     s.end_us = slot.end_us.load(std::memory_order_relaxed);
     s.arg = slot.arg.load(std::memory_order_relaxed);
     s.kind = static_cast<SpanKind>(slot.kind.load(std::memory_order_relaxed));
     s.tid = slot.tid.load(std::memory_order_relaxed);
+    // Re-check after the reads: a writer that claimed the slot meanwhile
+    // may have torn the fields.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
     out.push_back(s);
   }
   return out;
@@ -214,7 +252,9 @@ std::string FormatSpan(const Span& span) {
                 static_cast<unsigned long long>(span.end_us),
                 SpanKindName(span.kind),
                 static_cast<unsigned long long>(span.causal),
-                static_cast<unsigned long long>(span.end_us - span.start_us),
+                static_cast<unsigned long long>(
+                    span.end_us > span.start_us ? span.end_us - span.start_us
+                                                : 0),
                 static_cast<unsigned long long>(span.arg),
                 span.tid);
   return buf;

@@ -1,12 +1,12 @@
 #ifndef COMPLYDB_OBS_SPAN_H_
 #define COMPLYDB_OBS_SPAN_H_
 
-// Span tracing for the compliance pipeline, layered on the same lock-free
-// ring design as TraceRing. Where trace events are instants, spans are
-// closed intervals [start_us, end_us) carrying a *causal key* — the txn
-// id for commit-path work, the shipper batch id for background drains,
-// the epoch for audit phases — so a slow commit can be decomposed after
-// the fact into where the time actually went:
+// Span tracing for the compliance pipeline: the one event record the
+// engine keeps. A span is a closed interval [start_us, end_us) carrying a
+// *causal key* — the txn id for commit-path work, the shipper batch id
+// for background drains, the epoch for audit phases and regret ticks, the
+// tree id for TSB migration and vacuum — so a slow commit can be
+// decomposed after the fact into where the time actually went:
 //
 //   commit (txn)            — the whole client-visible CompliantDB::Commit
 //     commit.foreground     — engine work on the calling thread (residual)
@@ -26,10 +26,13 @@
 // `shipper.drain` / `shipper.worm_flush` spans keyed by batch id instead
 // (the committing thread's wait shows up as commit.queued).
 //
+// Instants that bracket no work (txn begin/abort, compliance appends,
+// page forces, WORM appends) are not spans: the registry counters in
+// docs/OBSERVABILITY.md count them.
+//
 // Span timestamps are MonotonicMicros (latencies are about the hardware,
 // not the simulated workload clock), so they share a timebase with the
-// latency histograms but *not* with TraceRing events in simulated-clock
-// runs — the Chrome exporter keeps the two on separate process tracks.
+// latency histograms.
 //
 // Everything here compiles out under COMPLYDB_DISABLE_METRICS: Emit and
 // the RAII helpers become empty, and SpansEnabled() is constant-false so
@@ -62,10 +65,24 @@ enum class SpanKind : uint8_t {
   kEpochSeal,         // causal = sealed-epoch seq, arg = L bytes sealed
   kAuditIncremental,  // causal = audit epoch, arg = epochs certified
   kSchedulerAdmit,    // causal = pipeline ticket, arg = partition key
+  kRegretTick,        // causal = audit epoch, arg = pages forced
+  kVacuumShred,       // causal = tree id, arg = tuples shredded
   kSpanKindCount,
 };
 
 const char* SpanKindName(SpanKind kind);
+
+/// Audit phases carried in kAuditPhase spans (matches AuditTimings).
+enum class AuditPhase : uint8_t {
+  kSnapshot = 0,
+  kSummarize,
+  kReplay,
+  kFinalState,
+  kIndexCheck,
+  kTotal,
+};
+
+const char* AuditPhaseName(AuditPhase phase);
 
 struct Span {
   uint64_t seq = 0;  // global emission (close) order
@@ -81,8 +98,9 @@ struct Span {
 /// Chrome exporter's tid field. Stable for the thread's lifetime.
 uint32_t ThreadTraceId();
 
-/// Bounded lock-free ring of *closed* spans; same wrap/torn-slot
-/// semantics as TraceRing (diagnostics, not an audit trail).
+/// Bounded lock-free ring of *closed* spans (diagnostics, not an audit
+/// trail — the compliance log is the authoritative record). The ring
+/// wraps: the newest spans win and `dropped()` counts the overwritten.
 class SpanRing {
  public:
   /// `capacity` is rounded up to a power of two.
@@ -95,8 +113,9 @@ class SpanRing {
   /// The process-wide ring the subsystems emit into.
   static SpanRing& Global();
 
-  /// Records one closed span. Lock-free; a torn slot is filtered by
-  /// Snapshot's sequence check.
+  /// Records one closed span. Lock-free: each slot is a seqlock, and a
+  /// writer that finds its slot mid-write by a writer one lap ahead
+  /// gives the span up rather than wait.
   void Emit(SpanKind kind, uint64_t causal, uint64_t start_us,
             uint64_t end_us, uint64_t arg = 0);
 
@@ -114,7 +133,8 @@ class SpanRing {
     return n > capacity_ ? n - capacity_ : 0;
   }
 
-  /// Copies the retained spans, oldest first.
+  /// Copies the retained spans, oldest first. A slot overwritten or
+  /// mid-write while it is read is left out, never returned torn.
   std::vector<Span> Snapshot() const;
 
   /// Forgets all spans (bench warm-up).
@@ -180,8 +200,8 @@ class ScopedCommitSpan {
   uint64_t arg_ = 0;
 };
 
-/// RAII span for simple bracketed work (WAL fsync, audit phases, TSB
-/// migration). Emits on destruction; `causal`/`arg` may be filled late.
+/// RAII span for simple bracketed work (WAL fsync, TSB migration, regret
+/// ticks, vacuum passes). Emits on destruction; `causal`/`arg` may be filled late.
 class ScopedSpan {
  public:
   explicit ScopedSpan(SpanKind kind, uint64_t causal = 0, uint64_t arg = 0)

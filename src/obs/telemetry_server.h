@@ -7,7 +7,7 @@
 //
 //   GET /metrics       Prometheus text exposition of the global registry
 //   GET /metrics.json  the same registry as JSON
-//   GET /trace         Chrome trace_event JSON of the span + trace rings
+//   GET /trace         Chrome trace_event JSON of the span ring
 //   GET /healthz       "ok" liveness probe
 //
 // Opt-in: CompliantDB starts one when DbOptions.telemetry_port (or the

@@ -6,14 +6,13 @@ namespace complydb {
 namespace obs {
 
 namespace {
-constexpr int kSpanPid = 1;   // span tracks (monotonic timebase)
-constexpr int kEventPid = 2;  // instant events (db-clock timebase)
+constexpr int kSpanPid = 1;  // the one process track (monotonic timebase)
 
 void AppendU64(std::string* out, uint64_t v) { *out += std::to_string(v); }
 
-void AppendMeta(std::string* out, int pid, const char* name) {
+void AppendMeta(std::string* out, const char* name) {
   *out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-  AppendU64(out, static_cast<uint64_t>(pid));
+  AppendU64(out, kSpanPid);
   *out += ",\"tid\":0,\"args\":{\"name\":\"";
   *out += name;
   *out += "\"}}";
@@ -42,53 +41,21 @@ void AppendSpan(std::string* out, const Span& s) {
   AppendU64(out, s.seq);
   *out += "}}";
 }
-
-void AppendEvent(std::string* out, const TraceEvent& e) {
-  *out += "{\"name\":\"";
-  *out += TraceEventTypeName(e.type);
-  *out += "\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"p\",\"ts\":";
-  AppendU64(out, e.ts_micros);
-  *out += ",\"pid\":";
-  AppendU64(out, kEventPid);
-  *out += ",\"tid\":0,\"args\":{\"a\":";
-  AppendU64(out, e.a);
-  *out += ",\"b\":";
-  AppendU64(out, e.b);
-  *out += ",\"seq\":";
-  AppendU64(out, e.seq);
-  *out += "}}";
-}
 }  // namespace
 
-std::string ChromeTraceJson(const std::vector<Span>& spans,
-                            const std::vector<TraceEvent>& events) {
+std::string ChromeTraceJson(const std::vector<Span>& spans) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) out += ",";
-    first = false;
-  };
-  sep();
-  AppendMeta(&out, kSpanPid, "complydb spans (monotonic us)");
-  if (!events.empty()) {
-    sep();
-    AppendMeta(&out, kEventPid, "complydb trace events (db clock us)");
-  }
+  AppendMeta(&out, "complydb spans (monotonic us)");
   for (const Span& s : spans) {
-    sep();
+    out += ",";
     AppendSpan(&out, s);
-  }
-  for (const TraceEvent& e : events) {
-    sep();
-    AppendEvent(&out, e);
   }
   out += "]}\n";
   return out;
 }
 
 std::string ChromeTraceJson() {
-  return ChromeTraceJson(SpanRing::Global().Snapshot(),
-                         TraceRing::Global().Snapshot());
+  return ChromeTraceJson(SpanRing::Global().Snapshot());
 }
 
 Status WriteChromeTraceFile(const std::string& path) {

@@ -1,31 +1,26 @@
 #ifndef COMPLYDB_OBS_TRACE_EXPORT_H_
 #define COMPLYDB_OBS_TRACE_EXPORT_H_
 
-// Chrome/Perfetto `trace_event` JSON export of the span ring and the
-// trace ring, loadable in chrome://tracing or ui.perfetto.dev.
+// Chrome/Perfetto `trace_event` JSON export of the span ring, loadable in
+// chrome://tracing or ui.perfetto.dev.
 //
-// Spans become "X" (complete) events on pid 1, one track per engine
-// thread; trace events become "i" (instant) events on pid 2. The two
-// rings deliberately stay on separate process tracks: spans timestamp
-// with MonotonicMicros while trace events follow the database's Clock
-// seam, so their timelines only coincide in wall-clock runs.
+// Spans become "X" (complete) events on one process track (pid 1), one
+// thread track per engine thread, all on the monotonic timebase.
 
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace complydb {
 namespace obs {
 
-/// Renders the given spans and events as a Chrome trace_event JSON
-/// document ({"traceEvents": [...], ...}).
-std::string ChromeTraceJson(const std::vector<Span>& spans,
-                            const std::vector<TraceEvent>& events);
+/// Renders the given spans as a Chrome trace_event JSON document
+/// ({"traceEvents": [...], ...}).
+std::string ChromeTraceJson(const std::vector<Span>& spans);
 
-/// Snapshot of the global rings, rendered as above.
+/// Snapshot of the global span ring, rendered as above.
 std::string ChromeTraceJson();
 
 /// Writes ChromeTraceJson() to `path` (shell `trace export`, bench

@@ -4,7 +4,7 @@
 
 #include "crypto/sha256.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace complydb {
 
@@ -33,11 +33,10 @@ ShredMetrics& Sm() {
   return m;
 }
 
-void EmitVacuumTrace(uint32_t tree_id, const VacuumReport& report) {
+void RecordVacuum(const VacuumReport& report, obs::ScopedSpan* span) {
   Sm().tuples_shredded->Inc(report.shredded);
   Sm().held->Inc(report.held);
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kVacuumShred, tree_id,
-                                report.shredded);
+  span->set_arg(report.shredded);
 }
 
 }  // namespace
@@ -45,6 +44,7 @@ void EmitVacuumTrace(uint32_t tree_id, const VacuumReport& report) {
 Result<VacuumReport> Vacuumer::Run(Btree* tree, uint64_t last_audit_time) {
   VacuumReport report;
   Sm().runs->Inc();
+  obs::ScopedSpan span(obs::SpanKind::kVacuumShred, tree->tree_id());
   uint64_t now = now_fn_();
 
   auto retention = expiry_->Current(tree->tree_id());
@@ -129,7 +129,7 @@ Result<VacuumReport> Vacuumer::Run(Btree* tree, uint64_t last_audit_time) {
     ++report.shredded;
   }
   if (wal_ != nullptr) CDB_RETURN_IF_ERROR(wal_->FlushAll());
-  EmitVacuumTrace(tree->tree_id(), report);
+  RecordVacuum(report, &span);
   return report;
 }
 
@@ -137,6 +137,7 @@ Result<VacuumReport> Vacuumer::RunHistorical(Btree* tree,
                                              HistoricalStore* hist,
                                              uint64_t last_audit_time) {
   VacuumReport report;
+  obs::ScopedSpan span(obs::SpanKind::kVacuumShred, tree->tree_id());
   uint64_t now = now_fn_();
   auto retention = expiry_->Current(tree->tree_id());
   if (!retention.ok()) return retention.status();
@@ -196,7 +197,7 @@ Result<VacuumReport> Vacuumer::RunHistorical(Btree* tree,
     }
     CDB_RETURN_IF_ERROR(hist->DropFile(file));
   }
-  EmitVacuumTrace(tree->tree_id(), report);
+  RecordVacuum(report, &span);
   return report;
 }
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <thread>
 
-#include "obs/trace.h"
 
 namespace complydb {
 
@@ -484,11 +483,7 @@ Status BufferCache::FlushMarkedAndRemark() {
     return frames_[a].pgno < frames_[b].pgno;
   });
   CDB_RETURN_IF_ERROR(WriteOutBatch(batch));
-  for (size_t idx : batch) {
-    reg_page_forces_->Inc();
-    obs::TraceRing::Global().Emit(obs::TraceEventType::kPageForce,
-                                  frames_[idx].pgno);
-  }
+  reg_page_forces_->Inc(batch.size());
   for (size_t i = 0; i < capacity_; ++i) {
     Frame& frame = frames_[i];
     if (frame.pgno == kInvalidPage) continue;

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "txn/epoch_pipeline.h"
 #include "txn/slot_buffer.h"
 
@@ -73,7 +72,6 @@ Result<Transaction*> TransactionManager::Begin() {
     active_->wal_.Emit(&rec);
   }
   Tm().begins->Inc();
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kTxnBegin, active_->id_);
   return active_.get();
 }
 
@@ -270,8 +268,6 @@ Status TransactionManager::Commit(Transaction* txn) {
     txn->wal_.Emit(&end);
   }
   Tm().commits->Inc();
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kTxnCommit, txn->id_,
-                                commit_time);
   active_.reset();
   return Status::OK();
 }
@@ -313,7 +309,6 @@ Status TransactionManager::Abort(Transaction* txn) {
     CDB_RETURN_IF_ERROR(observer_->OnAbort(txn->id_));
   }
   Tm().aborts->Inc();
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kTxnAbort, txn->id_);
   active_.reset();
   return Status::OK();
 }

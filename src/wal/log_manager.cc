@@ -7,7 +7,6 @@
 #include "common/coding.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace complydb {
 
@@ -123,8 +122,6 @@ Status LogManager::FlushAllLocked() {
   wm.flush_bytes->Inc(pending_.size());
   durable_end_ += pending_.size();
   span.set_arg(durable_end_);
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kWalFsync,
-                                pending_.size(), durable_end_);
   pending_.clear();
   return Status::OK();
 }

@@ -10,7 +10,6 @@
 
 #include "common/coding.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace fs = std::filesystem;
 
@@ -180,8 +179,6 @@ Status WormStore::AppendUnflushedLocked(const std::string& name, Slice data) {
   if (n != data.size()) return Status::IOError("worm: append write " + name);
   wm.appends->Inc();
   wm.append_bytes->Inc(data.size());
-  obs::TraceRing::Global().Emit(obs::TraceEventType::kWormAppend,
-                                data.size(), meta_.size());
   // Size is tracked in memory and persisted lazily (dtor / next metadata
   // change); on reopen LoadMeta reconciles against the real file size, so
   // a stale persisted size can only under-count — never mask truncation.

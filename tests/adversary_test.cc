@@ -14,6 +14,7 @@
 #include "common/coding.h"
 #include "compliance/compliance_log.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -23,9 +24,7 @@ constexpr uint64_t kMinute = 60ull * 1'000'000;
 class AdversaryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/mala_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("mala_" + testutil::TestName());
   }
 
   DbOptions MakeOptions(bool hash_on_read = false) {
@@ -75,6 +74,7 @@ class AdversaryTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   uint32_t table_ = 0;
   std::unique_ptr<CompliantDB> db_;

@@ -21,6 +21,7 @@
 
 #include "compliance/compliance_log.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -75,11 +76,12 @@ class AsyncShippingTest : public ::testing::Test {
   }
 
   std::string FreshDir(const std::string& name) {
-    std::string dir = ::testing::TempDir() + "/async_ship_" + name;
+    std::string dir = test_dir_.path() + "/" + name;
     std::filesystem::remove_all(dir);
     return dir;
   }
 
+  testutil::TestDir test_dir_{"async_ship_" + testutil::TestName()};
   std::unique_ptr<SimulatedClock> clock_ =
       std::make_unique<SimulatedClock>();
   std::optional<std::string> saved_env_;

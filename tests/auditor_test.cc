@@ -12,6 +12,7 @@
 #include "adversary/mala.h"
 #include "common/thread_pool.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -32,9 +33,7 @@ class AuditorTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/auditor_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("auditor_" + testutil::TestName());
     auto r = CompliantDB::Open(MakeOptions());
     ASSERT_TRUE(r.ok());
     db_.reset(r.value());
@@ -86,6 +85,7 @@ class AuditorTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   uint32_t table_ = 0;
   std::unique_ptr<CompliantDB> db_;

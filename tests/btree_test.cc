@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "storage/buffer_cache.h"
 #include "storage/disk_manager.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -20,12 +21,8 @@ namespace {
 class BtreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string base = ::testing::TempDir() + "/btree_" +
-                       ::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name();
-    std::filesystem::remove(base + ".db");
-    auto d = DiskManager::Open(base + ".db");
+    auto d = DiskManager::Open(
+        test_dir_.Reset("btree_" + testutil::TestName()) + "/tree.db");
     ASSERT_TRUE(d.ok());
     disk_.reset(d.value());
     cache_ = std::make_unique<BufferCache>(disk_.get(), 64);
@@ -66,6 +63,7 @@ class BtreeTest : public ::testing::Test {
   }
 
   static constexpr uint32_t kTreeId = 7;
+  testutil::TestDir test_dir_;
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferCache> cache_;
   std::unique_ptr<Btree> tree_;
@@ -329,10 +327,8 @@ TEST_F(BtreeTest, IntegrityDetectsBrokenSiblingChain) {
 class BtreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BtreePropertyTest, MatchesModel) {
-  std::string base = ::testing::TempDir() + "/btree_prop_" +
-                     std::to_string(GetParam());
-  std::filesystem::remove(base + ".db");
-  auto d = DiskManager::Open(base + ".db");
+  testutil::TestDir test_dir("btree_prop_" + std::to_string(GetParam()));
+  auto d = DiskManager::Open(test_dir.path() + "/tree.db");
   ASSERT_TRUE(d.ok());
   std::unique_ptr<DiskManager> disk(d.value());
   BufferCache cache(disk.get(), 32);

@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "storage/disk_manager.h"
 #include "storage/io_hook.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -38,10 +39,7 @@ class RecordingHook : public IoHook {
 class BufferCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/cache_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".db";
-    std::filesystem::remove(path_);
+    path_ = test_dir_.Reset("cache_" + testutil::TestName()) + "/cache.db";
     auto r = DiskManager::Open(path_);
     ASSERT_TRUE(r.ok());
     disk_.reset(r.value());
@@ -65,6 +63,7 @@ class BufferCacheTest : public ::testing::Test {
     return v;
   }
 
+  testutil::TestDir test_dir_;
   std::string path_;
   std::unique_ptr<DiskManager> disk_;
 };

@@ -15,6 +15,7 @@
 
 #include "common/random.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -55,6 +56,7 @@ class ChaosFullTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   uint32_t table_ = 0;
   uint32_t index_ = 0;
@@ -62,8 +64,7 @@ class ChaosFullTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(ChaosFullTest, EverythingEverywhereStaysAuditClean) {
-  dir_ = ::testing::TempDir() + "/chaosfull_" + std::to_string(GetParam());
-  std::filesystem::remove_all(dir_);
+  dir_ = test_dir_.Reset("chaosfull_" + std::to_string(GetParam()));
   Random rng(GetParam() * 7919);
   Open();
 

@@ -16,6 +16,7 @@
 #include "adversary/mala.h"
 #include "common/random.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -44,13 +45,13 @@ class ChaosTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
 };
 
 TEST_P(ChaosTest, RandomWorkloadStaysAuditClean) {
-  dir_ = ::testing::TempDir() + "/chaos_" + std::to_string(GetParam());
-  std::filesystem::remove_all(dir_);
+  dir_ = test_dir_.Reset("chaos_" + std::to_string(GetParam()));
   Random rng(GetParam());
   Open();
 

@@ -12,6 +12,7 @@
 #include "compliance/page_replay.h"
 #include "compliance/records.h"
 #include "compliance/snapshot.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -103,15 +104,14 @@ TEST(CRecordTest, ScanMultipleRecords) {
 class ComplianceLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/clog_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("clog_" + testutil::TestName());
     auto r = WormStore::Open(dir_, &clock_);
     ASSERT_TRUE(r.ok());
     worm_.reset(r.value());
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<WormStore> worm_;
 };

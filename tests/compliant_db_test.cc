@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <memory>
 
+#include "test_dir.h"
+
 namespace complydb {
 namespace {
 
@@ -13,9 +15,7 @@ constexpr uint64_t kMinute = 60ull * 1'000'000;
 class CompliantDbTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/cdb_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("cdb_" + testutil::TestName());
   }
 
   DbOptions MakeOptions() {
@@ -58,6 +58,7 @@ class CompliantDbTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
 };

@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -20,9 +21,8 @@ constexpr uint64_t kMinute = 60ull * 1'000'000;
 class CorruptionPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CorruptionPropertyTest, AnyRecordByteFlipIsDetected) {
-  std::string dir =
-      ::testing::TempDir() + "/corrupt_" + std::to_string(GetParam());
-  std::filesystem::remove_all(dir);
+  testutil::TestDir test_dir("corrupt_" + std::to_string(GetParam()));
+  const std::string& dir = test_dir.path();
   SimulatedClock clock;
   DbOptions opts;
   opts.dir = dir;

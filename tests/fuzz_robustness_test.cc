@@ -10,10 +10,11 @@
 #include "btree/tuple.h"
 #include "common/clock.h"
 #include "common/random.h"
-#include "compliance/records.h"
 #include "compliance/compliance_log.h"
+#include "compliance/records.h"
 #include "compliance/snapshot.h"
 #include "storage/page.h"
+#include "test_dir.h"
 #include "wal/log_record.h"
 #include "worm/worm_store.h"
 
@@ -121,10 +122,8 @@ TEST_P(FuzzTest, PageCheckStructureOnRandomBytes) {
 
 TEST_P(FuzzTest, SnapshotRejectsCorruptBytes) {
   SimulatedClock clock;
-  std::string dir = ::testing::TempDir() + "/fuzz_snap_" +
-                    std::to_string(GetParam());
-  std::filesystem::remove_all(dir);
-  auto w = WormStore::Open(dir, &clock);
+  testutil::TestDir test_dir("fuzz_snap_" + std::to_string(GetParam()));
+  auto w = WormStore::Open(test_dir.path(), &clock);
   ASSERT_TRUE(w.ok());
   std::unique_ptr<WormStore> worm(w.value());
 

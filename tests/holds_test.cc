@@ -12,6 +12,7 @@
 
 #include "crypto/sha256.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -22,9 +23,7 @@ constexpr uint64_t kDay = 24ull * 3600 * 1'000'000;
 class HoldsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/holds_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("holds_" + testutil::TestName());
     DbOptions opts;
     opts.dir = dir_;
     opts.cache_pages = 64;
@@ -60,6 +59,7 @@ class HoldsTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   uint32_t table_ = 0;
   std::unique_ptr<CompliantDB> db_;

@@ -25,6 +25,7 @@
 #include "crypto/hmac.h"
 #include "db/compliant_db.h"
 #include "db/snapshot_reader.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -107,7 +108,7 @@ class IncrementalAuditTest : public ::testing::Test {
   }
 
   std::string FreshDir(const std::string& name) {
-    dir_ = ::testing::TempDir() + "/inc_audit_" + name;
+    dir_ = test_dir_.path() + "/" + name;
     std::filesystem::remove_all(dir_);
     return dir_;
   }
@@ -129,6 +130,7 @@ class IncrementalAuditTest : public ::testing::Test {
 
   std::string LogPath() const { return dir_ + "/worm/" + LogFileName(0); }
 
+  testutil::TestDir test_dir_{"inc_audit_" + testutil::TestName()};
   std::unique_ptr<SimulatedClock> clock_ =
       std::make_unique<SimulatedClock>();
   std::string dir_;

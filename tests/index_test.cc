@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -26,9 +27,7 @@ Result<std::string> LastNameExtractor(Slice value) {
 class IndexTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/idx_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("idx_" + testutil::TestName());
     Open();
     auto t = db_->CreateTable("customers");
     ASSERT_TRUE(t.ok());
@@ -73,6 +72,7 @@ class IndexTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   uint32_t table_ = 0;
   uint32_t index_ = 0;

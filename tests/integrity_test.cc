@@ -11,6 +11,7 @@
 #include "btree/btree.h"
 #include "common/coding.h"
 #include "storage/disk_manager.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -18,13 +19,8 @@ namespace {
 class IntegrityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string path = ::testing::TempDir() + "/integ_" +
-                       ::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name() +
-                       ".db";
-    std::filesystem::remove(path);
-    auto d = DiskManager::Open(path);
+    auto d = DiskManager::Open(
+        test_dir_.Reset("integ_" + testutil::TestName()) + "/tree.db");
     ASSERT_TRUE(d.ok());
     disk_.reset(d.value());
     cache_ = std::make_unique<BufferCache>(disk_.get(), 64);
@@ -70,6 +66,7 @@ class IntegrityTest : public ::testing::Test {
   }
 
   static constexpr uint32_t kTreeId = 9;
+  testutil::TestDir test_dir_;
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferCache> cache_;
   std::unique_ptr<Btree> tree_;

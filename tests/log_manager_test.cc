@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -14,10 +15,7 @@ namespace {
 class LogManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = ::testing::TempDir() + "/wal_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove(base_ + ".wal");
-    std::filesystem::remove_all(base_ + ".worm");
+    base_ = test_dir_.Reset("wal_" + testutil::TestName()) + "/log";
     auto r = LogManager::Open(base_ + ".wal");
     ASSERT_TRUE(r.ok());
     log_.reset(r.value());
@@ -43,6 +41,7 @@ class LogManagerTest : public ::testing::Test {
     return out;
   }
 
+  testutil::TestDir test_dir_;
   std::string base_;
   std::unique_ptr<LogManager> log_;
 };

@@ -2,16 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "db/compliant_db.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "prom_parser.h"
+#include "test_dir.h"
 #include "tpcc/workload.h"
 
 namespace complydb {
@@ -237,66 +237,6 @@ TEST(PromExportTest, StrictParserRejectsMalformedInput) {
       << p.error();
 }
 
-// --- TraceRing ----------------------------------------------------------
-
-TEST(TraceRingTest, Wraparound) {
-  TraceRing ring(64);  // rounded to a power of two
-  EXPECT_EQ(ring.capacity(), 64u);
-  for (uint64_t i = 0; i < 200; ++i) {
-    ring.Emit(TraceEventType::kTxnBegin, i);
-  }
-  EXPECT_EQ(ring.total(), 200u);
-  EXPECT_EQ(ring.dropped(), 200u - 64u);
-  auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 64u);
-  // Oldest-first, and only the newest capacity events survive.
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, 136 + i);
-    EXPECT_EQ(events[i].a, 136 + i);
-  }
-}
-
-TEST(TraceRingTest, DisabledEmitsNothing) {
-  TraceRing ring(16);
-  ring.SetEnabled(false);
-  ring.Emit(TraceEventType::kWalFsync, 1, 2);
-  EXPECT_EQ(ring.total(), 0u);
-  ring.SetEnabled(true);
-  ring.Emit(TraceEventType::kWalFsync, 1, 2);
-  EXPECT_EQ(ring.total(), 1u);
-}
-
-TEST(TraceRingTest, ConcurrentEmitsAreRaceFree) {
-  TraceRing ring(256);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ring] {
-      for (int i = 0; i < kPerThread; ++i) {
-        ring.Emit(TraceEventType::kComplianceAppend, i);
-      }
-    });
-  }
-  // Concurrent snapshots must tolerate in-flight writes.
-  for (int i = 0; i < 10; ++i) (void)ring.Snapshot();
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(ring.total(), static_cast<uint64_t>(kThreads * kPerThread));
-  auto events = ring.Snapshot();
-  EXPECT_EQ(events.size(), ring.capacity());
-}
-
-TEST(TraceRingTest, FormatNamesEveryEventType) {
-  for (int i = 0; i < static_cast<int>(TraceEventType::kEventTypeCount); ++i) {
-    TraceEvent e;
-    e.type = static_cast<TraceEventType>(i);
-    std::string line = FormatTraceEvent(e);
-    EXPECT_FALSE(line.empty());
-    EXPECT_EQ(line.find('?'), std::string::npos)
-        << "unnamed event type " << i;
-  }
-}
-
 // --- SpanRing / commit decomposition ------------------------------------
 
 TEST(SpanRingTest, WraparoundKeepsNewest) {
@@ -348,6 +288,41 @@ TEST(SpanRingTest, ConcurrentEmitsAreRaceFree) {
   EXPECT_EQ(ring.Snapshot().size(), ring.capacity());
 }
 
+TEST(SpanRingTest, SnapshotNeverReturnsTornSpans) {
+  if (!kMetricsCompiledIn) GTEST_SKIP() << "span emission compiled out";
+  // A tiny ring makes emitters overwrite the slots a snapshot is reading.
+  // Every emitted span satisfies causal == start == arg and
+  // end == start + 1, so a span stitched from two emits breaks them.
+  SpanRing ring(4);
+  constexpr int kEmitters = 3;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> emitters;
+  for (int t = 0; t < kEmitters; ++t) {
+    emitters.emplace_back([&ring, &stop, t] {
+      for (uint64_t v = t; !stop.load(std::memory_order_relaxed);
+           v += kEmitters) {
+        ring.Emit(SpanKind::kShipperDrain, v, v, v + 1, v);
+      }
+    });
+  }
+  uint64_t returned = 0;
+  uint64_t torn = 0;
+  const uint64_t deadline = MonotonicMicros() + 10'000'000;
+  while (returned < 100000 && MonotonicMicros() < deadline) {
+    for (const Span& s : ring.Snapshot()) {
+      ++returned;
+      if (s.causal != s.start_us || s.arg != s.start_us ||
+          s.end_us != s.start_us + 1 || s.kind != SpanKind::kShipperDrain) {
+        ++torn;
+      }
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : emitters) t.join();
+  EXPECT_EQ(torn, 0u) << "of " << returned << " returned spans";
+  EXPECT_GT(returned, 0u);
+}
+
 TEST(SpanTest, NamesEverySpanKind) {
   for (int i = 0; i < static_cast<int>(SpanKind::kSpanKindCount); ++i) {
     Span s;
@@ -356,6 +331,20 @@ TEST(SpanTest, NamesEverySpanKind) {
     EXPECT_FALSE(line.empty());
     EXPECT_EQ(line.find('?'), std::string::npos) << "unnamed span kind " << i;
   }
+  // The maintenance kinds keep the names the docs and shell filters use.
+  EXPECT_STREQ(SpanKindName(SpanKind::kRegretTick), "regret.tick");
+  EXPECT_STREQ(SpanKindName(SpanKind::kVacuumShred), "vacuum.shred");
+  for (int i = 0; i <= static_cast<int>(AuditPhase::kTotal); ++i) {
+    EXPECT_STRNE(AuditPhaseName(static_cast<AuditPhase>(i)), "?");
+  }
+}
+
+TEST(SpanTest, FormatClampsNegativeDuration) {
+  Span s;
+  s.start_us = 100;
+  s.end_us = 40;  // a torn or clock-skewed span must not print 2^64 - 60
+  EXPECT_NE(FormatSpan(s).find("dur=0us"), std::string::npos)
+      << FormatSpan(s);
 }
 
 TEST(SpanTest, CommitDecompositionSumsToTotal) {
@@ -457,15 +446,14 @@ TEST(TraceExportTest, EmitsValidChromeJson) {
   s.arg = static_cast<uint64_t>(AuditPhase::kReplay);
   spans.push_back(s);
 
-  std::vector<TraceEvent> events;
-  TraceEvent e;
-  e.seq = 1;
-  e.ts_micros = 1100;
-  e.type = TraceEventType::kTxnCommit;
-  e.a = 5;
-  events.push_back(e);
+  // A span whose end precedes its start exports with dur 0.
+  s.seq = 3;
+  s.kind = SpanKind::kRegretTick;
+  s.start_us = 2000;
+  s.end_us = 1990;
+  spans.push_back(s);
 
-  std::string json = ChromeTraceJson(spans, events);
+  std::string json = ChromeTraceJson(spans);
   while (!json.empty() && json.back() == '\n') json.pop_back();
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.front(), '{');
@@ -476,9 +464,20 @@ TEST(TraceExportTest, EmitsValidChromeJson) {
   EXPECT_NE(json.find("\"name\":\"commit\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":400"), std::string::npos);
-  // The audit span names its phase; the trace event renders as an instant.
+  // The audit span names its phase.
   EXPECT_NE(json.find("audit.phase.replay"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"regret.tick\""), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":0,"), std::string::npos);
+  EXPECT_EQ(json.find("\"dur\":-"), std::string::npos);
+  // One process track: a single process_name record, every event on pid 1.
+  size_t metas = 0;
+  for (size_t at = json.find("process_name"); at != std::string::npos;
+       at = json.find("process_name", at + 1)) {
+    ++metas;
+  }
+  EXPECT_EQ(metas, 1u);
+  EXPECT_EQ(json.find("\"pid\":2"), std::string::npos);
+  EXPECT_EQ(json.find("\"ph\":\"i\""), std::string::npos);
   // Braces and brackets balance (cheap structural sanity, no JSON lib).
   int depth = 0, sq = 0;
   bool in_str = false;
@@ -507,11 +506,11 @@ TEST(TraceExportTest, EmitsValidChromeJson) {
 // --- integration: a TPC-C run populates the pipeline metrics ------------
 
 TEST(ObsIntegrationTest, TpccRunProducesPipelineMetrics) {
-  std::string dir = ::testing::TempDir() + "/obs_tpcc";
-  std::filesystem::remove_all(dir);
+  testutil::TestDir test_dir("obs_tpcc");
+  const std::string& dir = test_dir.path();
   auto& reg = MetricsRegistry::Global();
   reg.ResetAll();
-  TraceRing::Global().Reset();
+  SpanRing::Global().Reset();
 
   SimulatedClock clock;
   DbOptions opts;
@@ -554,7 +553,16 @@ TEST(ObsIntegrationTest, TpccRunProducesPipelineMetrics) {
   EXPECT_GT(reg.GetCounter("storage.cache.hits")->Value(), 0u);
   if (kMetricsCompiledIn) {
     EXPECT_GT(reg.GetHistogram("wal.fsync_us")->Count(), 0u);
-    EXPECT_GT(TraceRing::Global().total(), 0u);
+    // The span ring saw the commits, their WAL fsyncs and the ticks.
+    uint64_t commits = 0, fsyncs = 0, ticks = 0;
+    for (const Span& s : SpanRing::Global().Snapshot()) {
+      commits += s.kind == SpanKind::kCommit;
+      fsyncs += s.kind == SpanKind::kWalFsync;
+      ticks += s.kind == SpanKind::kRegretTick;
+    }
+    EXPECT_GT(commits, 0u);
+    EXPECT_GT(fsyncs, 0u);
+    EXPECT_GT(ticks, 0u);
   }
 
   // Per-instance counters still back the facade's DbStats (Stats() itself
@@ -575,6 +583,72 @@ TEST(ObsIntegrationTest, TpccRunProducesPipelineMetrics) {
   EXPECT_NE(prom.find("complydb_wal_fsyncs"), std::string::npos);
   testutil::PromParser parser;
   EXPECT_TRUE(parser.Parse(prom)) << parser.error();
+
+  ASSERT_TRUE(db->Close().ok());
+}
+
+// A regret tick (causal = audit epoch, arg = pages forced) and a vacuum
+// pass (causal = tree id, arg = tuples shredded) each record a span.
+TEST(ObsIntegrationTest, RegretTickAndVacuumEmitSpans) {
+  if (!kMetricsCompiledIn) GTEST_SKIP() << "span emission compiled out";
+  constexpr uint64_t kDay = 24 * 60 * kMinute;
+  testutil::TestDir test_dir("obs_spans");
+  SimulatedClock clock;
+  DbOptions opts;
+  opts.dir = test_dir.path();
+  opts.cache_pages = 64;
+  opts.clock = &clock;
+  opts.compliance.enabled = true;
+  opts.compliance.regret_interval_micros = 5 * kMinute;
+  auto open = CompliantDB::Open(opts);
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  std::unique_ptr<CompliantDB> db(open.value());
+  auto table = db->CreateTable("docs");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(db->SetRetention(table.value(), kDay).ok());
+  auto put = [&](const std::string& value) {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(db->Put(txn.value(), table.value(), "doc", value).ok());
+    ASSERT_TRUE(db->Commit(txn.value()).ok());
+  };
+  auto spans_of = [](SpanKind kind) {
+    std::vector<Span> out;
+    for (const Span& s : SpanRing::Global().Snapshot()) {
+      if (s.kind == kind) out.push_back(s);
+    }
+    return out;
+  };
+
+  // Dirty pages, then cross the regret interval twice: the first tick
+  // marks the dirty pages, the second forces them.
+  put("v1");
+  ASSERT_TRUE(db->AdvanceClock(5 * kMinute).ok());
+  SpanRing::Global().Reset();
+  uint64_t writes_before = db->disk()->writes();
+  ASSERT_TRUE(db->AdvanceClock(5 * kMinute).ok());
+  auto ticks = spans_of(SpanKind::kRegretTick);
+  ASSERT_EQ(ticks.size(), 1u);
+  EXPECT_EQ(ticks[0].causal, db->epoch());
+  EXPECT_GT(ticks[0].arg, 0u);
+  EXPECT_EQ(ticks[0].arg, db->disk()->writes() - writes_before);
+  EXPECT_GE(ticks[0].end_us, ticks[0].start_us);
+
+  // Supersede v1, audit, and let it expire: the vacuum pass shreds it.
+  clock.AdvanceMicros(kMinute);
+  put("v2");
+  auto audit = db->Audit();
+  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+  ASSERT_TRUE(audit.value().ok());
+  clock.AdvanceMicros(2 * kDay);
+  SpanRing::Global().Reset();
+  auto vacuum = db->Vacuum(table.value());
+  ASSERT_TRUE(vacuum.ok()) << vacuum.status().ToString();
+  ASSERT_EQ(vacuum.value().shredded, 1u);
+  auto passes = spans_of(SpanKind::kVacuumShred);
+  ASSERT_FALSE(passes.empty());
+  EXPECT_EQ(passes[0].causal, table.value());
+  EXPECT_EQ(passes[0].arg, 1u);
 
   ASSERT_TRUE(db->Close().ok());
 }

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -16,9 +17,7 @@ constexpr uint64_t kMinute = 60ull * 1'000'000;
 class ReadOnlyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/ro_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("ro_" + testutil::TestName());
     // Seed a database.
     auto r = CompliantDB::Open(Options(false));
     ASSERT_TRUE(r.ok());
@@ -51,6 +50,7 @@ class ReadOnlyTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   uint32_t table_ = 0;
   uint64_t t1_ = 0;

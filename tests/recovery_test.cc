@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -19,9 +20,7 @@ constexpr uint64_t kMinute = 60ull * 1'000'000;
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/recov_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("recov_" + testutil::TestName());
   }
 
   DbOptions MakeOptions() {
@@ -56,6 +55,7 @@ class RecoveryTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
 };

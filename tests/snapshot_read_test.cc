@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "db/compliant_db.h"
+#include "test_dir.h"
 #include "tpcc/workload.h"
 
 namespace complydb {
@@ -35,9 +36,7 @@ int ReaderThreads() {
 class SnapshotReadTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/snap_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("snap_" + testutil::TestName());
   }
 
   DbOptions MakeOptions() {
@@ -75,6 +74,7 @@ class SnapshotReadTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
 };

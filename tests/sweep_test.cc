@@ -8,6 +8,7 @@
 #include <memory>
 #include <tuple>
 
+#include "test_dir.h"
 #include "tpcc/workload.h"
 
 namespace complydb {
@@ -25,12 +26,11 @@ class SweepTest : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(SweepTest, TpccMiniStaysAuditClean) {
   auto [cache_pages, regret_minutes, hash_on_read, tsb, baseline_cap] =
       GetParam();
-  std::string dir = ::testing::TempDir() + "/sweep_" +
-                    std::to_string(cache_pages) + "_" +
-                    std::to_string(regret_minutes) + "_" +
-                    std::to_string(hash_on_read) + std::to_string(tsb) +
-                    "_" + std::to_string(baseline_cap);
-  std::filesystem::remove_all(dir);
+  testutil::TestDir test_dir(
+      "sweep_" + std::to_string(cache_pages) + "_" +
+      std::to_string(regret_minutes) + "_" + std::to_string(hash_on_read) +
+      std::to_string(tsb) + "_" + std::to_string(baseline_cap));
+  const std::string& dir = test_dir.path();
 
   SimulatedClock clock;
   DbOptions opts;

@@ -17,6 +17,7 @@
 #include "db/compliant_db.h"
 #include "obs/metrics.h"
 #include "prom_parser.h"
+#include "test_dir.h"
 #include "tpcc/workload.h"
 
 namespace complydb {
@@ -126,8 +127,8 @@ TEST(TelemetryServerTest, StopIsIdempotent) {
 // The acceptance check: /metrics stays parseable strict Prometheus text
 // while a TPC-C load is committing underneath it.
 TEST(TelemetryServerTest, MetricsParseableDuringTpccLoad) {
-  std::string dir = ::testing::TempDir() + "/telemetry_tpcc";
-  std::filesystem::remove_all(dir);
+  testutil::TestDir test_dir("telemetry_tpcc");
+  const std::string& dir = test_dir.path();
 
   SimulatedClock clock;
   DbOptions opts;
@@ -204,8 +205,8 @@ TEST(TelemetryServerTest, MetricsParseableDuringTpccLoad) {
 // The DB-level knob: a non-zero telemetry_port starts a server inside
 // CompliantDB::Open and tears it down on Close.
 TEST(TelemetryServerTest, DbOptionStartsServer) {
-  std::string dir = ::testing::TempDir() + "/telemetry_dbopt";
-  std::filesystem::remove_all(dir);
+  testutil::TestDir test_dir("telemetry_dbopt");
+  const std::string& dir = test_dir.path();
   ::unsetenv("COMPLYDB_TELEMETRY_PORT");
 
   // Grab an ephemeral port, free it, and hand it to the DB. (Racy in

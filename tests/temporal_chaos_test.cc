@@ -17,6 +17,7 @@
 
 #include "common/random.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -76,13 +77,13 @@ class TemporalChaosTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
 };
 
 TEST_P(TemporalChaosTest, AsOfMatchesModelAtEveryInstant) {
-  dir_ = ::testing::TempDir() + "/tchaos_" + std::to_string(GetParam());
-  std::filesystem::remove_all(dir_);
+  dir_ = test_dir_.Reset("tchaos_" + std::to_string(GetParam()));
   Random rng(GetParam() * 104729);
   Open();
 

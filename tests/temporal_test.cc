@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "db/compliant_db.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -18,9 +19,7 @@ constexpr uint64_t kDay = 24ull * 3600 * 1'000'000;
 class TemporalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/temporal_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("temporal_" + testutil::TestName());
   }
 
   DbOptions MakeOptions(bool tsb = false) {
@@ -59,6 +58,7 @@ class TemporalTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
 };

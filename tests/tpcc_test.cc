@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <memory>
 
+#include "test_dir.h"
+
 namespace complydb {
 namespace tpcc {
 namespace {
@@ -14,9 +16,7 @@ constexpr uint64_t kMinute = 60ull * 1'000'000;
 class TpccTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/tpcc_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("tpcc_" + testutil::TestName());
   }
 
   DbOptions MakeOptions(bool compliance = true) {
@@ -70,6 +70,7 @@ class TpccTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
   std::unique_ptr<Workload> workload_;

@@ -8,6 +8,7 @@
 
 #include "crypto/sha256.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 #include "tsb/tsb_policy.h"
 
 namespace complydb {
@@ -73,9 +74,7 @@ TEST(TimeSplitPolicyTest, ThresholdBoundary) {
 class TsbVacuumTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/tsbv_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("tsbv_" + testutil::TestName());
   }
 
   DbOptions MakeOptions(bool tsb, double threshold = 0.5) {
@@ -112,6 +111,7 @@ class TsbVacuumTest : public ::testing::Test {
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
 };

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/clock.h"
+#include "test_dir.h"
 
 namespace complydb {
 namespace {
@@ -13,15 +14,14 @@ namespace {
 class WormStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/worm_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
+    dir_ = test_dir_.Reset("worm_" + testutil::TestName());
     auto r = WormStore::Open(dir_, &clock_);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     store_.reset(r.value());
   }
 
   SimulatedClock clock_;
+  testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<WormStore> store_;
 };

@@ -25,6 +25,7 @@
 #include "audit/epoch_chain.h"
 #include "compliance/compliance_log.h"
 #include "db/compliant_db.h"
+#include "test_dir.h"
 #include "tpcc/workload.h"
 #include "txn/slot_scheduler.h"
 
@@ -86,7 +87,7 @@ class WritePipelineTest : public ::testing::Test {
   }
 
   std::string FreshDir(const std::string& name) {
-    std::string dir = ::testing::TempDir() + "/write_pipeline_" + name;
+    std::string dir = test_dir_.path() + "/" + name;
     std::filesystem::remove_all(dir);
     return dir;
   }
@@ -100,6 +101,7 @@ class WritePipelineTest : public ::testing::Test {
     return scale;
   }
 
+  testutil::TestDir test_dir_{"write_pipeline_" + testutil::TestName()};
   std::unique_ptr<SimulatedClock> clock_ =
       std::make_unique<SimulatedClock>();
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;

@@ -17,7 +17,6 @@
 #include "db/compliant_db.h"
 #include "db/snapshot_reader.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "obs/trace_export.h"
 
 using namespace complydb;
@@ -49,12 +48,10 @@ constexpr char kHelp[] =
     "proof\n"
     "  stats                          engine statistics\n"
     "  metrics [prom]                 metrics registry (JSON or Prometheus)\n"
-    "  trace [--type <t>] [--txn <id>] [--last n]\n"
-    "                                 newest matching trace events "
-    "(default 20)\n"
-    "  trace export <file>            Chrome trace_event JSON (spans +\n"
-    "                                 events) for chrome://tracing\n"
-    "  spans [--last n]               newest closed spans (default 20)\n"
+    "  trace [--type <span>] [--causal <id>] [--last n]\n"
+    "                                 newest matching spans (default 20)\n"
+    "  trace export <file>            Chrome trace_event JSON of the spans\n"
+    "                                 for chrome://tracing\n"
     "  help | quit\n";
 
 std::vector<std::string> Tokenize(const std::string& line) {
@@ -360,19 +357,19 @@ int main(int argc, char** argv) {
         PrintStatus(s);
       }
     } else if (cmd == "trace") {
-      // trace [--type <name>] [--txn <id>] [--last n]; a bare number is
-      // the legacy spelling of --last.
+      // trace [--type <span name>] [--causal <id>] [--last n]; a bare
+      // number is the short spelling of --last.
       size_t n = 20;
       std::string type_filter;
-      uint64_t txn_filter = 0;
-      bool have_txn = false;
+      uint64_t causal_filter = 0;
+      bool have_causal = false;
       bool bad = false;
       for (size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--type" && i + 1 < args.size()) {
           type_filter = args[++i];
-        } else if (args[i] == "--txn" && i + 1 < args.size()) {
-          txn_filter = std::strtoull(args[++i].c_str(), nullptr, 10);
-          have_txn = true;
+        } else if (args[i] == "--causal" && i + 1 < args.size()) {
+          causal_filter = std::strtoull(args[++i].c_str(), nullptr, 10);
+          have_causal = true;
         } else if (args[i] == "--last" && i + 1 < args.size()) {
           n = std::strtoull(args[++i].c_str(), nullptr, 10);
         } else if (args[i].find_first_not_of("0123456789") ==
@@ -385,41 +382,23 @@ int main(int argc, char** argv) {
         }
       }
       if (bad) continue;
-      auto& ring = obs::TraceRing::Global();
-      auto events = ring.Snapshot();
-      std::vector<const obs::TraceEvent*> matched;
-      for (const auto& e : events) {
+      auto& ring = obs::SpanRing::Global();
+      auto spans = ring.Snapshot();
+      std::vector<const obs::Span*> matched;
+      for (const auto& span : spans) {
         if (!type_filter.empty() &&
-            type_filter != obs::TraceEventTypeName(e.type)) {
+            type_filter != obs::SpanKindName(span.kind)) {
           continue;
         }
-        // Every txn-keyed event type carries the txn id in `a`.
-        if (have_txn && e.a != txn_filter) continue;
-        matched.push_back(&e);
+        if (have_causal && span.causal != causal_filter) continue;
+        matched.push_back(&span);
       }
       size_t start = matched.size() > n ? matched.size() - n : 0;
       for (size_t i = start; i < matched.size(); ++i) {
-        std::printf("%s\n", obs::FormatTraceEvent(*matched[i]).c_str());
+        std::printf("%s\n", obs::FormatSpan(*matched[i]).c_str());
       }
       std::printf("(%zu shown of %zu matched, %llu total, %llu dropped)\n",
                   matched.size() - start, matched.size(),
-                  static_cast<unsigned long long>(ring.total()),
-                  static_cast<unsigned long long>(ring.dropped()));
-    } else if (cmd == "spans") {
-      size_t n = 20;
-      if (args.size() >= 3 && args[1] == "--last") {
-        n = std::strtoull(args[2].c_str(), nullptr, 10);
-      } else if (args.size() >= 2) {
-        n = std::strtoull(args[1].c_str(), nullptr, 10);
-      }
-      auto& ring = obs::SpanRing::Global();
-      auto spans = ring.Snapshot();
-      size_t start = spans.size() > n ? spans.size() - n : 0;
-      for (size_t i = start; i < spans.size(); ++i) {
-        std::printf("%s\n", obs::FormatSpan(spans[i]).c_str());
-      }
-      std::printf("(%zu shown, %llu total, %llu dropped)\n",
-                  spans.size() - start,
                   static_cast<unsigned long long>(ring.total()),
                   static_cast<unsigned long long>(ring.dropped()));
     } else {
