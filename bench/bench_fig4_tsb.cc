@@ -66,8 +66,10 @@ int RunShape(const Shape& shape, uint64_t keys, uint64_t updates) {
       // Variable row sizes (like real relations) diversify page fill
       // factors, so the threshold sweep sees a spread of distinct-key
       // fractions instead of one cliff.
-      std::string value = "r" + std::to_string(round) + "-" +
-                          rng.AString(10, 90);
+      std::string value = "r";
+      value += std::to_string(round);
+      value += '-';
+      value += rng.AString(10, 90);
       CDB_RETURN_IF_ERROR(db->Put(txn.value(), tid, key, value));
       return db->Commit(txn.value());
     };

@@ -98,6 +98,30 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Reads sealed window `se` of L into `blob` and checks its bytes against
+// the header: framing, record count, Merkle root. Returns the finding, or
+// "" when the bytes match; a failed Status only for I/O trouble.
+Result<std::string> CheckSealedWindow(const WormStore* worm, uint64_t epoch,
+                                      const SealedEpoch& se,
+                                      std::string* blob) {
+  const uint64_t len = se.end_offset - se.begin_offset;
+  Status rs = worm->ReadAt(LogFileName(epoch), se.begin_offset, len, blob);
+  if (rs.IsTampered() || (rs.ok() && blob->size() != len)) {
+    return std::string("L is shorter than the sealed range");
+  }
+  if (!rs.ok()) return rs;
+  std::vector<Sha256Digest> leaves;
+  Status fs = EpochLeafHashes(*blob, &leaves);
+  if (!fs.ok()) return fs.ToString();
+  if (leaves.size() != se.record_count) {
+    return std::string("record count disagrees with the sealed header");
+  }
+  if (!DigestEqual(MerkleRoot(leaves), se.merkle_root)) {
+    return std::string("L range does not match its sealed merkle root");
+  }
+  return std::string();
+}
+
 Status VerifyLeaf(const InclusionProof& proof, const InclusionProof::Leaf& leaf,
                   CRecord* rec, const char* what) {
   if (leaf.epoch_seq == 0 || leaf.epoch_seq > proof.chain.size()) {
@@ -212,6 +236,8 @@ Status AuditCursor::AttachInternal(uint64_t audit_epoch,
   summary_ = LogSummary{};
   summary_problems_seen_ = 0;
   problems_.clear();
+  records_applied_ = 0;
+  spent_ = false;
   PageReplayer::Options ropts;
   ropts.verify = true;
   ropts.verify_read_hashes = opts_.verify_read_hashes;
@@ -270,66 +296,55 @@ Status AuditCursor::AttachInternal(uint64_t audit_epoch,
 void AuditCursor::AddProblem(const std::string& what,
                              IncrementalAuditReport* rep) {
   problems_.push_back(what);
-  if (rep != nullptr) rep->problems.push_back(what);
+  ReportFinding(what, rep);
+}
+
+void AuditCursor::ReportFinding(const std::string& what,
+                                IncrementalAuditReport* rep) {
+  rep->problems.push_back(what);
   Xm().problems->Inc();
 }
 
-Status AuditCursor::CertifyWindow(const SealedEpoch& se,
-                                  const std::string& blob, uint32_t nthreads,
-                                  ThreadPool* pool,
-                                  IncrementalAuditReport* rep) {
-  const std::string tag = "sealed epoch " + std::to_string(se.seq);
-  std::vector<uint64_t> offsets;
-  Status fs = FrameBoundaries(blob, &offsets);
-  if (!fs.ok()) {
-    AddProblem(tag + ": " + fs.ToString(), rep);
-    return Status::Tampered(tag);
-  }
-  std::vector<Sha256Digest> leaves;
-  CDB_RETURN_IF_ERROR(EpochLeafHashes(blob, &leaves));
-  if (leaves.size() != se.record_count) {
-    AddProblem(tag + ": record count disagrees with the sealed header", rep);
-    return Status::Tampered(tag);
-  }
-  if (!DigestEqual(MerkleRoot(leaves), se.merkle_root)) {
-    AddProblem(tag + ": L range does not match its sealed merkle root", rep);
-    return Status::Tampered(tag);
-  }
-  std::vector<CRecord> recs(offsets.size());
-  for (size_t i = 0; i < offsets.size(); ++i) {
+Status AuditCursor::ApplyWindow(const std::string& blob, uint64_t base,
+                                const std::string& tag, bool sealed,
+                                uint32_t nthreads, ThreadPool* pool,
+                                IncrementalAuditReport* rep) {
+  std::vector<CRecord> recs;
+  std::vector<uint64_t> offsets;  // L offsets
+  Status ds;
+  for (size_t off = 0; off < blob.size();) {
+    CRecord rec;
     size_t consumed = 0;
-    Status ds = CRecord::Decode(
-        Slice(blob.data() + offsets[i], blob.size() - offsets[i]), &recs[i],
-        &consumed);
-    if (!ds.ok()) {
-      AddProblem(tag + ": " + ds.ToString(), rep);
-      return Status::Tampered(tag);
-    }
+    ds = CRecord::Decode(Slice(blob.data() + off, blob.size() - off), &rec,
+                         &consumed);
+    if (!ds.ok()) break;
+    recs.push_back(std::move(rec));
+    offsets.push_back(base + off);
+    off += consumed;
+  }
+  if (!ds.ok() && sealed) {
+    ReportFinding(tag + ": " + ds.ToString(), rep);
+    return Status::Tampered(tag);
   }
   // Window summary folds into the cumulative one *before* replay — UNDO
   // justification inside the window may reference this window's ABORT.
-  Status ss = SummarizeLogBlob(blob, &summary_);
-  if (!ss.ok()) {
-    AddProblem(tag + ": summarize: " + ss.ToString(), rep);
-    return Status::Tampered(tag);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    SummarizeRecord(recs[i], offsets[i], &summary_);
   }
   for (; summary_problems_seen_ < summary_.problems.size();
        ++summary_problems_seen_) {
     AddProblem(summary_.problems[summary_problems_seen_], rep);
   }
+  Status as;
   if (nthreads <= 1) {
-    for (size_t i = 0; i < recs.size(); ++i) {
-      Status as = state_.Apply(recs[i], se.begin_offset + offsets[i]);
-      if (!as.ok()) {
-        AddProblem(tag + ": replay: " + as.ToString(), rep);
-        return Status::Tampered(tag);
-      }
+    for (size_t i = 0; i < recs.size() && as.ok(); ++i) {
+      as = state_.Apply(recs[i], offsets[i]);
     }
   } else {
-    // Sharded window replay, mirroring the full audit: every shard
-    // applies the whole window but only to pages it owns; shards are
-    // seeded with the cursor's current state for exactly the pages the
-    // window touches, then folded back with overwrite/erase semantics.
+    // Sharded window replay: every shard applies the whole window but
+    // only to pages it owns; shards are seeded with the cursor's current
+    // state for exactly the pages the window touches, then folded back
+    // with overwrite/erase semantics.
     std::set<PageKey> touched_pages;
     std::set<PageKey> touched_index;
     for (const CRecord& rec : recs) {
@@ -364,36 +379,51 @@ Status AuditCursor::CertifyWindow(const SealedEpoch& se,
         }
       }
       for (size_t r = 0; r < recs.size(); ++r) {
-        shard_status[i] = shard->Apply(recs[r], se.begin_offset + offsets[r]);
+        shard_status[i] = shard->Apply(recs[r], offsets[r]);
         if (!shard_status[i].ok()) break;
       }
     });
-    for (uint32_t i = 0; i < nthreads; ++i) {
-      if (!shard_status[i].ok()) {
-        AddProblem(tag + ": replay: " + shard_status[i].ToString(), rep);
-        return Status::Tampered(tag);
+    for (const Status& st : shard_status) {
+      if (!st.ok()) {
+        as = st;
+        break;
       }
     }
-    for (auto& shard : shards) {
-      state_.AbsorbWindowShard(std::move(*shard), tp, ti);
+    if (as.ok()) {
+      for (auto& shard : shards) {
+        state_.AbsorbWindowShard(std::move(*shard), tp, ti);
+      }
+      state_.FinishMerge();
     }
-    state_.FinishMerge();
   }
-  // Resolve the UNDO justifications this window's state can answer; the
-  // rest stay pending for later windows (or the full audit's Finalize).
+  if (!as.ok()) {
+    AddProblem(tag + ": replay: " + as.ToString(), rep);
+    return Status::Tampered(tag);
+  }
+  // Resolve the UNDO justifications and identities this window's state
+  // can answer; the rest stay pending for later windows (or Finalize).
   state_.ResolvePendingMoves();
   for (; state_problems_seen_ < state_.problems().size();
        ++state_problems_seen_) {
     AddProblem(state_.problems()[state_problems_seen_], rep);
   }
+  records_applied_ += recs.size();
   rep->records_replayed += recs.size();
   rep->bytes_replayed += blob.size();
+  if (!ds.ok()) {
+    AddProblem(tag + ": replay stopped: " + ds.ToString(), rep);
+    return Status::Tampered(tag);
+  }
   return Status::OK();
 }
 
 Result<IncrementalAuditReport> AuditCursor::CertifyThrough(
     const std::vector<SealedEpoch>& chain, uint32_t num_threads,
     uint64_t limit_seq) {
+  if (spent_) {
+    return Status::InvalidArgument(
+        "audit cursor already replayed its uncertified tail; re-attach");
+  }
   auto t0 = std::chrono::steady_clock::now();
   uint32_t nthreads = num_threads == 0 ? 1 : num_threads;
   IncrementalAuditReport rep;
@@ -412,17 +442,16 @@ Result<IncrementalAuditReport> AuditCursor::CertifyThrough(
   for (size_t i = certified_seq_; i < chain.size() && chain[i].seq <= limit_seq;
        ++i) {
     const SealedEpoch& se = chain[i];
+    const std::string tag = "sealed epoch " + std::to_string(se.seq);
     std::string blob;
-    Status rs = worm_->ReadAt(LogFileName(epoch_), se.begin_offset,
-                              se.end_offset - se.begin_offset, &blob);
-    if (rs.IsTampered() || blob.size() != se.end_offset - se.begin_offset) {
-      AddProblem("sealed epoch " + std::to_string(se.seq) +
-                     ": L is shorter than the sealed range",
-                 &rep);
-      break;
+    auto finding = CheckSealedWindow(worm_, epoch_, se, &blob);
+    if (!finding.ok()) return finding.status();
+    if (!finding.value().empty()) {
+      ReportFinding(tag + ": " + finding.value(), &rep);
+      break;  // head stays put
     }
-    if (!rs.ok()) return rs;
-    Status ws = CertifyWindow(se, blob, nthreads, pool.get(), &rep);
+    Status ws = ApplyWindow(blob, se.begin_offset, tag, /*sealed=*/true,
+                            nthreads, pool.get(), &rep);
     if (!ws.ok()) break;  // problem already recorded; head stays put
     certified_seq_ = se.seq;
     certified_offset_ = se.end_offset;
@@ -441,6 +470,67 @@ Result<IncrementalAuditReport> AuditCursor::CertifyThrough(
   Xm().bytes->Inc(rep.bytes_replayed);
   Xm().run_us->Record(static_cast<uint64_t>(rep.seconds * 1e6));
   Xm().certified_seq->Set(static_cast<int64_t>(certified_seq_));
+  return rep;
+}
+
+Status AuditCursor::RehashCertified(const std::vector<SealedEpoch>& chain,
+                                    uint64_t through_seq,
+                                    std::vector<std::string>* findings) const {
+  for (size_t i = 0; i < through_seq && i < chain.size(); ++i) {
+    std::string blob;
+    auto finding = CheckSealedWindow(worm_, epoch_, chain[i], &blob);
+    if (!finding.ok()) return finding.status();
+    if (!finding.value().empty()) {
+      findings->push_back("sealed epoch " + std::to_string(chain[i].seq) +
+                          ": " + finding.value());
+    }
+  }
+  return Status::OK();
+}
+
+Result<IncrementalAuditReport> AuditCursor::ReplayTail(uint32_t num_threads) {
+  if (spent_) {
+    return Status::InvalidArgument(
+        "audit cursor already replayed its uncertified tail; re-attach");
+  }
+  auto t0 = std::chrono::steady_clock::now();
+  uint32_t nthreads = num_threads == 0 ? 1 : num_threads;
+  IncrementalAuditReport rep;
+  rep.threads_used = nthreads;
+  uint64_t hashes_before = state_.read_hashes_checked();
+  auto info = worm_->GetInfo(LogFileName(epoch_));
+  if (!info.ok()) return info.status();
+  const std::string tag =
+      "L tail from offset " + std::to_string(certified_offset_);
+  std::string blob;
+  if (info.value().size > certified_offset_) {
+    Status rs = worm_->ReadAt(LogFileName(epoch_), certified_offset_,
+                              info.value().size - certified_offset_, &blob);
+    if (rs.IsTampered()) {
+      AddProblem(tag + ": " + rs.ToString(), &rep);
+    } else if (!rs.ok()) {
+      return rs;
+    }
+  }
+  spent_ = true;
+  std::unique_ptr<ThreadPool> pool;
+  if (nthreads > 1) pool = std::make_unique<ThreadPool>(nthreads);
+  // A failed window has already recorded its finding.
+  (void)ApplyWindow(blob, certified_offset_, tag, /*sealed=*/false, nthreads,
+                    pool.get(), &rep);
+  CDB_RETURN_IF_ERROR(state_.Finalize());
+  for (; state_problems_seen_ < state_.problems().size();
+       ++state_problems_seen_) {
+    AddProblem(state_.problems()[state_problems_seen_], &rep);
+  }
+  rep.certified_seq = certified_seq_;
+  rep.certified_offset = certified_offset_;
+  rep.chain_root = certified_root_;
+  rep.read_hashes_checked = state_.read_hashes_checked() - hashes_before;
+  rep.all_problems = problems_;
+  rep.seconds = SecondsSince(t0);
+  Xm().records->Inc(rep.records_replayed);
+  Xm().bytes->Inc(rep.bytes_replayed);
   return rep;
 }
 

@@ -1,10 +1,11 @@
 #ifndef COMPLYDB_AUDIT_AUDIT_CURSOR_H_
 #define COMPLYDB_AUDIT_AUDIT_CURSOR_H_
 
-// Incremental, online certification of the compliance log.
+// Incremental, online certification of the compliance log — and the one
+// driver that replays L, for the incremental verdict and the full audit
+// alike.
 //
-// The classic auditor quiesces the database and replays all of L. The
-// AuditCursor instead certifies "all state through sealed epoch k" by
+// The AuditCursor certifies "all state through sealed epoch k" by
 // replaying only the delta since the last certified epoch: for each
 // uncertified SealedEpoch it re-reads exactly that L byte range, checks
 // the range against the epoch's Merkle root and the chain linkage, folds
@@ -17,9 +18,16 @@
 // integrity, L well-formedness, the replay cross-checks (split unions,
 // UNDO justification, conflicting stamps/aborts), and READ-hash
 // verification — the paper's hash-page-on-read tamper detector, which is
-// what catches edits to the database file itself. The full audit remains
-// the authoritative pass for final-state-vs-disk comparison, identity
-// ADD_HASH, witness liveness, and retention/hold policy.
+// what catches edits to the database file itself.
+//
+// The full audit (Auditor::Audit) finishes a cursor instead of replaying
+// L itself: it certifies the sealed epochs past the head, re-hashes the
+// windows certified before it against their sealed Merkle roots
+// (RehashCertified: an edit to certified L is still caught, without
+// replaying it), and replays the rest of L as one unverified tail
+// (ReplayTail). Only the uncertified delta is replayed; the cursor is
+// spent afterwards. Final state vs disk, identity ADD_HASH, witness
+// liveness, and retention/hold policy stay the full audit's own checks.
 //
 // Equivalence: certifying epochs 1..E one at a time, in batches, or all
 // at once runs the identical per-window code against identical state, so
@@ -44,10 +52,12 @@ class ThreadPool;
 
 /// Result of one CertifyThrough run (or of a full-replay pass).
 struct IncrementalAuditReport {
-  /// Problems found by THIS run, in L order (chain-level findings for a
-  /// window precede that window's replay findings).
+  /// Problems found by THIS run, in L order; a chain-level finding (the
+  /// window certification stopped at) comes last.
   std::vector<std::string> problems;
-  /// Every problem the cursor has found since Attach.
+  /// Every finding inside the windows the cursor has replayed since
+  /// Attach (chain-level findings are not part of the state: the window
+  /// they reject is never applied).
   std::vector<std::string> all_problems;
   uint64_t certified_seq = 0;     // chain position after the run
   uint64_t certified_offset = 0;  // L bytes covered after the run
@@ -115,13 +125,28 @@ class AuditCursor {
   Status AttachFresh(uint64_t audit_epoch);
 
   /// Certifies every sealed epoch past the current head (up to
-  /// `limit_seq`), replaying only the delta. Chain-level or replay
-  /// problems stop the advance — the offending epoch is not certified —
-  /// and are reported through the returned report (not a failed Status;
-  /// those are reserved for I/O-level trouble).
+  /// `limit_seq`), replaying only the delta. A chain-level problem stops
+  /// the advance — the offending epoch is not certified — and is reported
+  /// through the returned report (not a failed Status; those are reserved
+  /// for I/O-level trouble and a chain that rewrote the certified head).
   Result<IncrementalAuditReport> CertifyThrough(
       const std::vector<SealedEpoch>& chain, uint32_t num_threads,
       uint64_t limit_seq = UINT64_MAX);
+
+  /// Full-audit step: re-hashes windows 1..`through_seq` of `chain`
+  /// against their sealed Merkle roots without replaying them, appending
+  /// one finding per window whose L bytes no longer match.
+  Status RehashCertified(const std::vector<SealedEpoch>& chain,
+                         uint64_t through_seq,
+                         std::vector<std::string>* findings) const;
+
+  /// Full-audit step: replays [certified_offset, end of L) as one window
+  /// with no Merkle check — the sealed epochs certification stopped at
+  /// plus the unsealed tail — then finalizes the replay. A record that
+  /// fails to decode stops the replay there. Spends the cursor: no record
+  /// may be applied twice, so CertifyThrough and ReplayTail refuse to run
+  /// again until the next Attach.
+  Result<IncrementalAuditReport> ReplayTail(uint32_t num_threads);
 
   /// Appends the signed certification marker for the current head to
   /// cert_<epoch>. Call after a clean CertifyThrough.
@@ -133,11 +158,17 @@ class AuditCursor {
   Result<InclusionProof> ProveInclusion(uint32_t tree_id, Slice key,
                                         Slice value, uint64_t commit_time);
 
+  const Options& options() const { return opts_; }
   uint64_t audit_epoch() const { return epoch_; }
   uint64_t certified_seq() const { return certified_seq_; }
   uint64_t certified_offset() const { return certified_offset_; }
   const Sha256Digest& certified_root() const { return certified_root_; }
   const std::vector<std::string>& problems() const { return problems_; }
+  /// The replayed state and the summary of every record applied since
+  /// Attach, and how many records that was.
+  const PageReplayer& state() const { return state_; }
+  const LogSummary& summary() const { return summary_; }
+  uint64_t records_applied() const { return records_applied_; }
 
   /// Deterministic digest of the replayed state (pages, index pages,
   /// tree roots): the incremental-vs-full equivalence witness.
@@ -145,10 +176,19 @@ class AuditCursor {
 
  private:
   Status AttachInternal(uint64_t audit_epoch, bool use_certification);
-  Status CertifyWindow(const SealedEpoch& se, const std::string& blob,
-                       uint32_t nthreads, ThreadPool* pool,
-                       IncrementalAuditReport* rep);
+  /// Decodes, summarizes and replays one window of L starting at L
+  /// offset `base`. A sealed window is all or nothing: a record that
+  /// fails to decode rejects it untouched. The tail keeps the records
+  /// before the bad one and stops there.
+  Status ApplyWindow(const std::string& blob, uint64_t base,
+                     const std::string& tag, bool sealed, uint32_t nthreads,
+                     ThreadPool* pool, IncrementalAuditReport* rep);
+  /// A finding inside an applied window: kept in the cursor's state and
+  /// reported by this run.
   void AddProblem(const std::string& what, IncrementalAuditReport* rep);
+  /// A finding reported by this run only (a rejected window is never
+  /// applied, so its finding is not part of the state).
+  void ReportFinding(const std::string& what, IncrementalAuditReport* rep);
 
   Options opts_;
   WormStore* worm_;
@@ -161,6 +201,8 @@ class AuditCursor {
   PageReplayer state_{PageReplayer::Options{}, nullptr};
   size_t state_problems_seen_ = 0;
   std::vector<std::string> problems_;  // cumulative, in L order
+  uint64_t records_applied_ = 0;
+  bool spent_ = false;  // ReplayTail ran: the state is past the chain
 };
 
 }  // namespace complydb

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 
+#include "audit/audit_cursor.h"
 #include "audit/epoch_chain.h"
 #include "btree/integrity.h"
 #include "btree/tuple.h"
@@ -77,7 +78,8 @@ std::string HashBytes(Slice s) {
 
 }  // namespace
 
-Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot) {
+Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot,
+                                   AuditCursor* cursor) {
   AuditReport report;
   Am().runs->Inc();
   auto t_total = std::chrono::steady_clock::now();
@@ -85,7 +87,8 @@ Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot) {
     report.problems.push_back(what);
   };
 
-  // Worker pool for the replay, final-state, and index-check phases.
+  // Worker threads for every phase: the cursor shards each window of L it
+  // replays, the pool runs the final-state and index checks.
   // num_threads == 1 keeps every phase on the caller thread (the serial
   // reference path); either way the report comes out byte-identical.
   const uint32_t nthreads =
@@ -114,33 +117,75 @@ Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot) {
               report.timings.snapshot_seconds, epoch);
 
   // ---------------------------------------------------------------- 2.
-  // Prepass over L: transaction outcomes, shreds, duplicate/conflict
-  // checks, liveness-interval checks.
+  // The L pass runs on an AuditCursor (DESIGN.md, "Incremental
+  // certification"): a live cursor from the facade has already certified
+  // a prefix; anything else gets a fresh cursor at the snapshot baseline.
+  // Step 1 certifies every sealed epoch past the cursor's head.
   t0 = std::chrono::steady_clock::now();
-  // One read of L serves every pass below (the paper's audit is I/O-bound
-  // on exactly this scan).
-  ComplianceLog log(worm_, epoch);
-  Status open = log.OpenExisting();
-  if (!open.ok()) {
-    problem("compliance log: " + open.ToString());
-    return report;
+  AuditCursor own(AuditCursor::Options{options_.auditor_key,
+                                       options_.verify_read_hashes},
+                  worm_);
+  if (cursor == nullptr || cursor->audit_epoch() != epoch ||
+      cursor->options().verify_read_hashes != options_.verify_read_hashes) {
+    cursor = &own;
+    Status attach = cursor->AttachFresh(epoch);
+    if (!attach.ok()) {
+      problem("audit cursor: " + attach.ToString());
+      return report;
+    }
   }
-  report.log_records = log.record_count();
-  std::string log_blob;
-  Status read_log = worm_->ReadAll(LogFileName(epoch), &log_blob);
-  if (!read_log.ok()) {
-    problem("compliance log read: " + read_log.ToString());
-    return report;
+  std::vector<std::string> l_problems = cursor->problems();
+  uint64_t prefix_seq = cursor->certified_seq();
+  std::vector<SealedEpoch> chain;
+  // A chain that does not verify (or no longer covers the cursor's head)
+  // is a finding; the pass then restarts from the snapshot and replays
+  // all of L as the unverified tail.
+  auto restart = [&](const Status& why) -> Status {
+    if (!why.IsTampered() && !why.IsCorruption()) return why;
+    CDB_RETURN_IF_ERROR(cursor->AttachFresh(epoch));
+    l_problems = {"epoch chain: " + why.ToString()};
+    prefix_seq = 0;
+    chain.clear();
+    return Status::OK();
+  };
+  auto chain_r = ReadEpochChain(worm_, epoch);
+  if (!chain_r.ok()) {
+    CDB_RETURN_IF_ERROR(restart(chain_r.status()));
+  } else {
+    chain = chain_r.TakeValue();
+    auto cert = cursor->CertifyThrough(chain, nthreads);
+    if (!cert.ok()) {
+      CDB_RETURN_IF_ERROR(restart(cert.status()));
+    } else {
+      l_problems.insert(l_problems.end(), cert.value().problems.begin(),
+                        cert.value().problems.end());
+    }
   }
+  double certify_seconds = SecondsSince(t0);
 
-  LogSummary summary;
-  Status sum = SummarizeLogBlob(log_blob, &summary);
-  if (!sum.ok()) {
-    problem("compliance log scan: " + sum.ToString());
+  // Steps 2 and 3: re-hash the windows certified before this audit
+  // against their sealed Merkle roots (an edit to certified L is still
+  // caught, without replaying it), then replay [certified offset, end of
+  // L) — sealed epochs certification stopped at plus the unsealed tail —
+  // with no Merkle check, and finalize. No record is applied twice.
+  t0 = std::chrono::steady_clock::now();
+  CDB_RETURN_IF_ERROR(cursor->RehashCertified(chain, prefix_seq, &l_problems));
+  auto tail = cursor->ReplayTail(nthreads);
+  if (!tail.ok()) {
+    problem("compliance log: " + tail.status().ToString());
     return report;
   }
-  for (const auto& p : summary.problems) problem("log summary: " + p);
+  l_problems.insert(l_problems.end(), tail.value().problems.begin(),
+                    tail.value().problems.end());
+  for (auto& p : l_problems) problem(p);
+  const PageReplayer& replayer = cursor->state();
+  const LogSummary& summary = cursor->summary();
+  report.log_records = cursor->records_applied();
+  report.read_hashes_checked = replayer.read_hashes_checked();
+  report.timings.replay_seconds = SecondsSince(t0);
 
+  // ---------------------------------------------------------------- 3.
+  // What the cursor gathered from L answers the remaining log checks.
   // Commit times must be strictly increasing, and every commit time must
   // fall inside a *witnessed-alive* window. The evidence is WORM file
   // create times (witness files, log tails, the logs themselves): the
@@ -148,6 +193,7 @@ Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot) {
   // so she cannot fabricate STAMP_TRANS records for transactions that
   // supposedly ran while the system was down (paper §IV-A/§IV-B —
   // witness files "stand as witness that the DBMS was alive").
+  t0 = std::chrono::steady_clock::now();
   {
     std::vector<uint64_t> evidence;
     for (const auto& name : worm_->List()) {
@@ -162,29 +208,26 @@ Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot) {
       return it != evidence.end() && *it <= t + allow;
     };
     uint64_t prev_commit = 0;
-    Status s = ScanCRecords(log_blob, [&](const CRecord& rec,
-                                          uint64_t off) -> Status {
-      if (rec.type != CRecordType::kStampTrans) return Status::OK();
-      if (rec.commit_time <= prev_commit) {
-        problem("offset " + std::to_string(off) +
+    for (const CommitStamp& c : summary.commits) {
+      if (c.commit_time <= prev_commit) {
+        problem("offset " + std::to_string(c.offset) +
                 ": commit times not strictly increasing (txn " +
-                std::to_string(rec.txn_id) + " commit " +
-                std::to_string(rec.commit_time) + " after commit " +
+                std::to_string(c.txn_id) + " commit " +
+                std::to_string(c.commit_time) + " after commit " +
                 std::to_string(prev_commit) + ")");
       }
-      prev_commit = std::max(prev_commit, rec.commit_time);
-      if (!witnessed(rec.commit_time)) {
-        problem("offset " + std::to_string(off) +
+      prev_commit = std::max(prev_commit, c.commit_time);
+      if (!witnessed(c.commit_time)) {
+        problem("offset " + std::to_string(c.offset) +
                 ": commit time lies in an unwitnessed interval (forged "
                 "transaction during downtime?)");
       }
-      return Status::OK();
-    });
-    if (!s.ok()) problem("interval scan: " + s.ToString());
+    }
   }
 
   // Cross-check the auxiliary stamp index against the STAMP_TRANS records.
   {
+    ComplianceLog log(worm_, epoch);  // reads only the stamp index
     Status s = log.ScanStampIndex(
         [&](TxnId txn, uint64_t, uint64_t commit) -> Status {
           auto it = summary.stamps.find(txn);
@@ -196,95 +239,17 @@ Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot) {
         });
     if (!s.ok()) problem("stamp index: " + s.ToString());
   }
-  report.timings.summarize_seconds = SecondsSince(t0);
+  report.timings.summarize_seconds = certify_seconds + SecondsSince(t0);
   RecordPhase(obs::AuditPhase::kSummarize, Am().summarize_us,
               report.timings.summarize_seconds, epoch);
-
-  // ---------------------------------------------------------------- 3.
-  // Single-pass replay of L (the heart of the audit): reconstructs the
-  // expected content of every live leaf page, verifying splits,
-  // migrations, UNDO justification, and — under hash-page-on-read — the
-  // Hs of every page every transaction read.
-  t0 = std::chrono::steady_clock::now();
-  PageReplayer::Options ropts;
-  ropts.verify = true;
-  ropts.verify_read_hashes = options_.verify_read_hashes;
-  PageReplayer replayer(ropts, &summary);
-  if (nthreads <= 1) {
-    for (const auto& page : prev.pages) {
-      replayer.SeedPage(page.tree_id, page.pgno, page.records);
-    }
-    for (const auto& page : prev.index_pages) {
-      replayer.SeedIndexPage(page.tree_id, page.pgno, page.records);
-    }
-    Status rs = ScanCRecords(log_blob, [&](const CRecord& rec, uint64_t off) {
-      return replayer.Apply(rec, off);
-    });
-    if (!rs.ok()) problem("replay: " + rs.ToString());
-  } else {
-    // Sharded replay: each worker scans the whole of L but applies only
-    // the records for pages its shard owns; per-page record order is the
-    // log order either way, so every shard sees exactly the serial
-    // history of its pages. The merge re-establishes global order.
-    std::vector<std::unique_ptr<PageReplayer>> shards;
-    std::vector<Status> shard_status(nthreads, Status::OK());
-    shards.reserve(nthreads);
-    for (uint32_t i = 0; i < nthreads; ++i) {
-      PageReplayer::Options sopts = ropts;
-      sopts.shard_index = i;
-      sopts.shard_count = nthreads;
-      shards.push_back(std::make_unique<PageReplayer>(sopts, &summary));
-    }
-    pool->ParallelFor(0, nthreads, [&](size_t i) {
-      PageReplayer* shard = shards[i].get();
-      for (const auto& page : prev.pages) {
-        shard->SeedPage(page.tree_id, page.pgno, page.records);
-      }
-      for (const auto& page : prev.index_pages) {
-        shard->SeedIndexPage(page.tree_id, page.pgno, page.records);
-      }
-      shard_status[i] =
-          ScanCRecords(log_blob, [&](const CRecord& rec, uint64_t off) {
-            return shard->Apply(rec, off);
-          });
-    });
-    // Every shard scans the same blob, so a decode failure is identical
-    // across shards; report it once, as the serial path would.
-    for (uint32_t i = 0; i < nthreads; ++i) {
-      if (!shard_status[i].ok()) {
-        problem("replay: " + shard_status[i].ToString());
-        break;
-      }
-    }
-    for (auto& shard : shards) {
-      replayer.AbsorbShard(std::move(*shard));
-    }
-    replayer.FinishMerge();
-  }
-  Status fs = replayer.Finalize();
-  if (!fs.ok()) problem("replay finalize: " + fs.ToString());
-  for (const auto& p : replayer.problems()) problem(p);
-  report.read_hashes_checked = replayer.read_hashes_checked();
-  report.timings.replay_seconds = SecondsSince(t0);
   RecordPhase(obs::AuditPhase::kReplay, Am().replay_us,
               report.timings.replay_seconds, epoch);
 
   // Tree catalog: snapshot trees plus trees created this epoch.
   std::map<uint32_t, Snapshot::TreeInfo> trees;
   for (const auto& t : prev.trees) trees[t.tree_id] = t;
-  {
-    Status s = ScanCRecords(log_blob, [&](const CRecord& rec,
-                                          uint64_t) -> Status {
-      if (rec.type == CRecordType::kNewTree) {
-        Snapshot::TreeInfo info;
-        info.tree_id = rec.tree_id;
-        info.root = rec.pgno;
-        info.name = rec.key;
-        trees[rec.tree_id] = info;
-      }
-      return Status::OK();
-    });
-    if (!s.ok()) problem("tree scan: " + s.ToString());
+  for (const auto& [tree_id, announced] : summary.new_trees) {
+    trees[tree_id] = {tree_id, announced.root, announced.name};
   }
 
   // ---------------------------------------------------------------- 4.

@@ -9,12 +9,13 @@
 
 #include "common/status.h"
 #include "compliance/compliance_log.h"
-#include "compliance/page_replay.h"
 #include "compliance/snapshot.h"
 #include "storage/disk_manager.h"
 #include "worm/worm_store.h"
 
 namespace complydb {
+
+class AuditCursor;
 
 /// Looks up the retention period (micros) that governed `tree_id` at time
 /// `at_time`; NotFound if no policy existed. The DB facade implements this
@@ -45,9 +46,9 @@ struct AuditOptions {
   HoldResolver hold_resolver;            // may be null: skip hold checks
   /// Worker threads for the replay, final-state, and index-check phases.
   /// 1 = the serial reference path (default); 0 = hardware_concurrency.
-  /// Any value produces a byte-identical report: replay shards by
-  /// (tree_id, pgno), the database scan chunks by pgno, and both merge
-  /// deterministically.
+  /// Any value produces a byte-identical report: each replayed window
+  /// shards by (tree_id, pgno), the database scan chunks by pgno, and
+  /// both merge deterministically.
   uint32_t num_threads = 1;
   /// Legacy full-audit ergonomics: instead of returning Busy the moment a
   /// snapshot is open or a writer is in flight, poll for quiescence until
@@ -72,9 +73,13 @@ enum AuditExitCode : int {
 int AuditExitCodeForStatus(const Status& s);
 
 struct AuditTimings {
+  /// Certifying the sealed epochs past the cursor's head, plus the
+  /// commit-time, liveness, and stamp-index checks over what it gathered.
   double summarize_seconds = 0;
   double snapshot_seconds = 0;   // hashing/loading the previous snapshot
-  double replay_seconds = 0;     // L scan incl. READ-hash verification
+  /// Re-hashing the certified prefix and replaying the uncertified tail
+  /// (incl. READ-hash verification).
+  double replay_seconds = 0;
   double final_state_seconds = 0;  // full scan of the current database
   double index_check_seconds = 0;
   double total_seconds = 0;
@@ -107,6 +112,13 @@ struct AuditReport {
 /// that every page read by every transaction was untampered. On success it
 /// writes the signed snapshot that seeds the next epoch.
 ///
+/// The pass over L is an AuditCursor's: the auditor certifies the sealed
+/// epochs past the cursor's head, re-hashes the windows certified before
+/// against their sealed Merkle roots, and replays only the uncertified
+/// rest of L. Everything on the disk side — final state, catalog, index
+/// integrity, ADD_HASH identity, shreds, migrations, WAL tails — is the
+/// auditor's own.
+///
 /// The auditor deliberately reads the database through its own hook-free
 /// cache (the paper's prosecutor runs her own DBMS software against the
 /// seized disks); nothing the production DBMS claims is trusted except
@@ -117,8 +129,13 @@ class Auditor {
       : options_(options), worm_(worm), disk_(disk) {}
 
   /// Audits epoch `epoch`. If `write_snapshot`, a successful audit writes
-  /// snapshot_{epoch+1} (a failed audit never does).
-  Result<AuditReport> Audit(uint64_t epoch, bool write_snapshot);
+  /// snapshot_{epoch+1} (a failed audit never does). `cursor`, when it
+  /// is attached to `epoch` with the same READ-hash setting, is the live
+  /// certification cursor to finish — only its uncertified delta is
+  /// replayed — and is spent afterwards; otherwise the audit attaches a
+  /// fresh cursor of its own.
+  Result<AuditReport> Audit(uint64_t epoch, bool write_snapshot,
+                            AuditCursor* cursor = nullptr);
 
   /// After a successful audit of `epoch`, superseded WORM files (the
   /// previous snapshot, L, stamp index, witness files, log tails) become

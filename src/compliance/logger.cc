@@ -81,9 +81,10 @@ Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
   // flushed) — diffing against disk would emit unjustified UNDOs.
   std::string log_blob;
   CDB_RETURN_IF_ERROR(worm_->ReadAll(LogFileName(epoch), &log_blob));
+  // Rebuilding (not verifying) consults no transaction outcomes, so one
+  // scan both replays L and summarizes it.
   LogSummary summary;
-  CDB_RETURN_IF_ERROR(SummarizeLogBlob(log_blob, &summary));
-  PageReplayer replayer(PageReplayer::Options{}, &summary);
+  PageReplayer replayer(PageReplayer::Options{}, nullptr);
   if (snapshot != nullptr) {
     for (const auto& page : snapshot->pages) {
       replayer.SeedPage(page.tree_id, page.pgno, page.records);
@@ -94,6 +95,7 @@ Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
   }
   CDB_RETURN_IF_ERROR(
       ScanCRecords(log_blob, [&](const CRecord& rec, uint64_t offset) {
+        SummarizeRecord(rec, offset, &summary);
         return replayer.Apply(rec, offset);
       }));
 

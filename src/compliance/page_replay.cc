@@ -10,69 +10,54 @@
 
 namespace complydb {
 
-namespace {
-
-Status ApplySummaryRecord(const CRecord& rec, LogSummary* out) {
-    switch (rec.type) {
-      case CRecordType::kStampTrans: {
-        auto it = out->stamps.find(rec.txn_id);
-        if (it != out->stamps.end()) {
-          // Identical duplicates happen legitimately after crash recovery;
-          // *different* commit times for one txn indicate tampering.
-          if (it->second != rec.commit_time) {
-            out->problems.push_back(
-                "two different STAMP_TRANS for txn " +
-                std::to_string(rec.txn_id));
-          }
-        } else {
-          out->stamps[rec.txn_id] = rec.commit_time;
+void SummarizeRecord(const CRecord& rec, uint64_t offset, LogSummary* out) {
+  switch (rec.type) {
+    case CRecordType::kStampTrans: {
+      auto it = out->stamps.find(rec.txn_id);
+      if (it != out->stamps.end()) {
+        // Identical duplicates happen legitimately after crash recovery;
+        // *different* commit times for one txn indicate tampering.
+        if (it->second != rec.commit_time) {
+          out->problems.push_back("two different STAMP_TRANS for txn " +
+                                  std::to_string(rec.txn_id));
         }
-        if (out->aborts.count(rec.txn_id) > 0) {
-          out->problems.push_back("txn " + std::to_string(rec.txn_id) +
-                                  " has both STAMP_TRANS and ABORT");
-        }
-        out->last_commit_time =
-            std::max(out->last_commit_time, rec.commit_time);
-        break;
+      } else {
+        out->stamps[rec.txn_id] = rec.commit_time;
       }
-      case CRecordType::kAbort: {
-        out->aborts.insert(rec.txn_id);
-        if (out->stamps.count(rec.txn_id) > 0) {
-          out->problems.push_back("txn " + std::to_string(rec.txn_id) +
-                                  " has both STAMP_TRANS and ABORT");
-        }
-        break;
+      if (out->aborts.count(rec.txn_id) > 0) {
+        out->problems.push_back("txn " + std::to_string(rec.txn_id) +
+                                " has both STAMP_TRANS and ABORT");
       }
-      case CRecordType::kShredded: {
-        ShredRecord shred;
-        shred.tree_id = rec.tree_id;
-        shred.key = rec.key;
-        shred.start = rec.start;
-        shred.pgno = rec.pgno;
-        shred.timestamp = rec.timestamp;
-        shred.content_hash = rec.hash;
-        shred.hist_name = rec.name;
-        out->shreds.push_back(std::move(shred));
-        break;
-      }
-      default:
-        break;
+      out->last_commit_time = std::max(out->last_commit_time, rec.commit_time);
+      out->commits.push_back({offset, rec.txn_id, rec.commit_time});
+      break;
     }
-    return Status::OK();
-}
-
-}  // namespace
-
-Status SummarizeLog(const ComplianceLog& log, LogSummary* out) {
-  return log.Scan([&](const CRecord& rec, uint64_t) -> Status {
-    return ApplySummaryRecord(rec, out);
-  });
-}
-
-Status SummarizeLogBlob(Slice blob, LogSummary* out) {
-  return ScanCRecords(blob, [&](const CRecord& rec, uint64_t) -> Status {
-    return ApplySummaryRecord(rec, out);
-  });
+    case CRecordType::kAbort: {
+      out->aborts.insert(rec.txn_id);
+      if (out->stamps.count(rec.txn_id) > 0) {
+        out->problems.push_back("txn " + std::to_string(rec.txn_id) +
+                                " has both STAMP_TRANS and ABORT");
+      }
+      break;
+    }
+    case CRecordType::kShredded: {
+      ShredRecord shred;
+      shred.tree_id = rec.tree_id;
+      shred.key = rec.key;
+      shred.start = rec.start;
+      shred.pgno = rec.pgno;
+      shred.timestamp = rec.timestamp;
+      shred.content_hash = rec.hash;
+      shred.hist_name = rec.name;
+      out->shreds.push_back(std::move(shred));
+      break;
+    }
+    case CRecordType::kNewTree:
+      out->new_trees[rec.tree_id] = {rec.key, rec.pgno};
+      break;
+    default:
+      break;
+  }
 }
 
 namespace {
@@ -114,11 +99,6 @@ void PageReplayer::SeedPage(uint32_t tree_id, PageId pgno,
   }
 }
 
-void PageReplayer::SeedEmptyPage(uint32_t tree_id, PageId pgno) {
-  if (!Owns(tree_id, pgno)) return;
-  pages_[{tree_id, pgno}];
-}
-
 void PageReplayer::SeedIndexPage(uint32_t tree_id, PageId pgno,
                                  const std::vector<std::string>& entries) {
   if (!Owns(tree_id, pgno)) return;
@@ -145,25 +125,6 @@ Sha256Digest PageReplayer::HashIndexState(const IndexState& state) {
   elems.reserve(state.size());
   for (const auto& [sort_key, entry] : state) elems.emplace_back(entry);
   return SeqHash::Compute(elems);
-}
-
-void PageReplayer::AbsorbShard(PageReplayer&& other) {
-  // Page maps are disjoint: each (tree_id, pgno) has exactly one owner.
-  pages_.merge(other.pages_);
-  index_pages_.merge(other.index_pages_);
-  // Every shard records the same tree roots (kNewTree is unsharded).
-  tree_roots_.insert(other.tree_roots_.begin(), other.tree_roots_.end());
-  for (auto& m : other.migrations_) migrations_.push_back(std::move(m));
-  for (size_t i = 0; i < other.problems_.size(); ++i) {
-    problems_.push_back(std::move(other.problems_[i]));
-    problem_offsets_.push_back(other.problem_offsets_[i]);
-  }
-  for (auto& p : other.pending_move_checks_) {
-    pending_move_checks_.push_back(std::move(p));
-  }
-  read_hashes_checked_ += other.read_hashes_checked_;
-  identity_delta_.Merge(other.identity_delta_);
-  migrated_delta_.Merge(other.migrated_delta_);
 }
 
 void PageReplayer::AbsorbWindowShard(PageReplayer&& other,
@@ -196,13 +157,47 @@ void PageReplayer::AbsorbWindowShard(PageReplayer&& other,
   for (auto& p : other.pending_move_checks_) {
     pending_move_checks_.push_back(std::move(p));
   }
+  for (auto& p : other.pending_identities_) {
+    pending_identities_.push_back(std::move(p));
+  }
   read_hashes_checked_ += other.read_hashes_checked_;
   identity_delta_.Merge(other.identity_delta_);
   migrated_delta_.Merge(other.migrated_delta_);
 }
 
+void PageReplayer::ChangeIdentity(uint32_t tree_id, const std::string& tuple,
+                                  IdentityChange change) {
+  auto id = TupleIdentity(tree_id, tuple, summary_->stamps);
+  if (id.status().IsNotFound()) {
+    pending_identities_.push_back({tree_id, tuple, change});
+    return;
+  }
+  if (!id.ok()) return;
+  if (change == IdentityChange::kAdd) {
+    identity_delta_.Add(id.value());
+  } else {
+    identity_delta_.Remove(id.value());
+    if (change == IdentityChange::kMigrate) migrated_delta_.Add(id.value());
+  }
+}
+
+void PageReplayer::ResolvePendingIdentities() {
+  std::vector<PendingIdentity> waiting;
+  for (auto& p : pending_identities_) {
+    TupleData t;
+    if (DecodeTuple(p.tuple, &t).ok() && summary_->stamps.count(t.start)) {
+      ChangeIdentity(p.tree_id, p.tuple, p.change);
+    } else {
+      waiting.push_back(std::move(p));
+    }
+  }
+  pending_identities_ = std::move(waiting);
+}
+
 void PageReplayer::ResolvePendingMoves() {
-  if (pending_move_checks_.empty() || summary_ == nullptr) return;
+  if (summary_ == nullptr) return;
+  ResolvePendingIdentities();
+  if (pending_move_checks_.empty()) return;
   std::set<std::string> present;
   for (const auto& [key, state] : pages_) {
     for (const auto& [order_no, rec] : state) {
@@ -250,9 +245,11 @@ void PageReplayer::FinishMerge() {
 
 Status PageReplayer::Finalize() {
   current_offset_ = kNoOffset;
-  if (!opts_.verify || pending_move_checks_.empty() || summary_ == nullptr) {
-    return Status::OK();
-  }
+  if (!opts_.verify || summary_ == nullptr) return Status::OK();
+  // Whatever is still unstamped never committed: never part of Df.
+  ResolvePendingIdentities();
+  pending_identities_.clear();
+  if (pending_move_checks_.empty()) return Status::OK();
   std::set<std::string> present;
   for (const auto& [key, state] : pages_) {
     for (const auto& [order_no, rec] : state) {
@@ -291,7 +288,8 @@ Status PageReplayer::Apply(const CRecord& rec, uint64_t offset) {
   switch (rec.type) {
     case CRecordType::kNewTree: {
       tree_roots_[rec.tree_id] = rec.pgno;
-      SeedEmptyPage(rec.tree_id, rec.pgno);
+      // The root leaf starts empty.
+      if (Owns(rec.tree_id, rec.pgno)) pages_[{rec.tree_id, rec.pgno}];
       break;
     }
     case CRecordType::kNewTuple: {
@@ -327,9 +325,7 @@ Status PageReplayer::Apply(const CRecord& rec, uint64_t offset) {
       }
       state[t.order_no] = rec.tuple;
       if (opts_.verify && summary_ != nullptr) {
-        auto id = TupleIdentity(rec.tree_id, rec.tuple, summary_->stamps);
-        if (id.ok()) identity_delta_.Add(id.value());
-        // Unresolvable = uncommitted/aborted: never part of Df.
+        ChangeIdentity(rec.tree_id, rec.tuple, IdentityChange::kAdd);
       }
       break;
     }
@@ -353,8 +349,7 @@ Status PageReplayer::Apply(const CRecord& rec, uint64_t offset) {
                 std::to_string(rec.pgno) + ")");
       }
       if (opts_.verify && summary_ != nullptr) {
-        auto id = TupleIdentity(rec.tree_id, rec.tuple, summary_->stamps);
-        if (id.ok()) identity_delta_.Remove(id.value());
+        ChangeIdentity(rec.tree_id, rec.tuple, IdentityChange::kRemove);
         // Justification (§VIII): an unstamped tuple may vanish only if
         // its transaction aborted; a stamped tuple only if a SHREDDED
         // record announced its vacuuming — or, after crash recovery, if
@@ -376,6 +371,7 @@ Status PageReplayer::Apply(const CRecord& rec, uint64_t offset) {
             }
           }
           if (!shredded) {
+            auto id = TupleIdentity(rec.tree_id, rec.tuple, summary_->stamps);
             if (id.ok()) {
               pending_move_checks_.emplace_back(id.value(), offset);
             } else {
@@ -496,11 +492,7 @@ Status PageReplayer::Apply(const CRecord& rec, uint64_t offset) {
           continue;
         }
         if (opts_.verify && summary_ != nullptr) {
-          auto id = TupleIdentity(rec.tree_id, r, summary_->stamps);
-          if (id.ok()) {
-            identity_delta_.Remove(id.value());
-            migrated_delta_.Add(id.value());
-          }
+          ChangeIdentity(rec.tree_id, r, IdentityChange::kMigrate);
         }
         state.erase(it);
       }

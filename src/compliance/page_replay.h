@@ -38,20 +38,36 @@ struct MigrationRecord {
   uint64_t offset = 0;
 };
 
+/// One STAMP_TRANS found in L.
+struct CommitStamp {
+  uint64_t offset = 0;  // of the record in L
+  TxnId txn_id = 0;
+  uint64_t commit_time = 0;
+};
+
+/// One NEW_TREE found in L: the tree's name and root page.
+struct TreeAnnouncement {
+  std::string name;
+  PageId root = kInvalidPage;
+};
+
 /// Prepass summary of one epoch's L: transaction outcomes and shred
 /// intents, needed before replay because UNDO records may precede the
 /// ABORT/SHREDDED records that justify them (crash-recovery interleaving).
+/// The incremental cursor folds it window by window, before each window's
+/// replay; the full audit reads its commit and tree lists afterwards.
 struct LogSummary {
   std::map<TxnId, uint64_t> stamps;  // txn id -> commit time
   std::set<TxnId> aborts;
   std::vector<ShredRecord> shreds;
   std::vector<std::string> problems;  // conflicting stamps, abort+commit, ...
   uint64_t last_commit_time = 0;
+  std::vector<CommitStamp> commits;  // every STAMP_TRANS, in L order
+  std::map<uint32_t, TreeAnnouncement> new_trees;  // tree id -> last NEW_TREE
 };
 
-Status SummarizeLog(const ComplianceLog& log, LogSummary* out);
-/// Variant over an already-read log blob (avoids re-reading L).
-Status SummarizeLogBlob(Slice blob, LogSummary* out);
+/// Folds one record (at L offset `offset`) into `out`.
+void SummarizeRecord(const CRecord& rec, uint64_t offset, LogSummary* out);
 
 /// Deterministic replay of L's page-level records, reconstructing the
 /// expected tuple content of every live leaf page.
@@ -64,12 +80,13 @@ Status SummarizeLogBlob(Slice blob, LogSummary* out);
 ///
 /// Sharded replay: every record in L names the page(s) it touches, and
 /// records for different pages never interact until Finalize — so N
-/// replayers can each scan the whole log applying only the records whose
-/// pages hash into their shard, then be merged (AbsorbShard +
-/// FinishMerge) into a state identical to the serial replay. Records
-/// that touch two or three pages (PAGE_SPLIT, ROOT_GROW) are applied
-/// piecewise by each page's owner; the union cross-check runs on the old
-/// page's owner, which is the only shard holding the pre-image.
+/// replayers can each apply one window of L, each taking only the
+/// records whose pages hash into its shard, then be folded back
+/// (AbsorbWindowShard + FinishMerge) into a state identical to the
+/// serial replay. Records that touch two or three pages (PAGE_SPLIT,
+/// ROOT_GROW) are applied piecewise by each page's owner; the union
+/// cross-check runs on the old page's owner, which is the only shard
+/// holding the pre-image.
 class PageReplayer {
  public:
   struct Options {
@@ -101,58 +118,50 @@ class PageReplayer {
   void SeedIndexPage(uint32_t tree_id, PageId pgno,
                      const std::vector<std::string>& entries);
 
-  /// Registers a tree root whose page starts empty (kNewTree handles this
-  /// during replay; snapshots seed existing roots).
-  void SeedEmptyPage(uint32_t tree_id, PageId pgno);
-
   Status Apply(const CRecord& rec, uint64_t offset);
 
   /// True when this replayer's shard owns (tree_id, pgno). With
   /// shard_count == 1 every page is owned.
   bool Owns(uint32_t tree_id, PageId pgno) const;
 
-  /// Folds a sibling shard's state into this one. Page maps are disjoint
-  /// by construction (each page has exactly one owner); deltas merge
-  /// commutatively; offset-tagged lists concatenate. Call FinishMerge
-  /// once after absorbing every shard, then Finalize.
-  void AbsorbShard(PageReplayer&& other);
-
-  /// Restores serial order after AbsorbShard: migrations, problems, and
-  /// pending checks are re-sorted by their L offsets. At most one shard
-  /// emits problems for a given offset, so a stable sort reproduces the
-  /// serial problem list byte for byte.
-  void FinishMerge();
-
-  /// Incremental-audit variant of AbsorbShard: folds a *window* shard —
-  /// an ephemeral replayer that was seeded with this replayer's current
-  /// state for `touched_pages`/`touched_index` and then applied one
-  /// sealed epoch's records — back into this long-lived state. Unlike
-  /// AbsorbShard the maps are NOT disjoint: for every touched key the
-  /// shard owns, the shard's version *overwrites* ours, and a key the
-  /// shard no longer holds is *erased* (ROOT_GROW deletes the old root's
-  /// leaf state). Non-page artifacts (deltas, problems, pending checks)
-  /// concatenate as in AbsorbShard; call FinishMerge afterwards.
+  /// Folds a *window* shard — an ephemeral replayer that was seeded with
+  /// this replayer's current state for `touched_pages`/`touched_index`
+  /// and then applied one window's records — back into this long-lived
+  /// state. For every touched key the shard owns, the shard's version
+  /// *overwrites* ours, and a key the shard no longer holds is *erased*
+  /// (ROOT_GROW deletes the old root's leaf state). Non-page artifacts
+  /// (deltas, problems, pending checks) concatenate; call FinishMerge
+  /// once after absorbing every shard.
   void AbsorbWindowShard(PageReplayer&& other,
                          const std::vector<PageKey>& touched_pages,
                          const std::vector<PageKey>& touched_index);
 
-  /// Incremental-audit variant of Finalize: resolves the pending UNDO
-  /// justifications that the final state *can* answer (the moved tuple is
-  /// present again) and keeps the rest pending — mid-chain, the
-  /// justifying SHREDDED or page move may simply not be sealed yet. The
-  /// full audit's Finalize remains the authoritative reporter for
-  /// justifications that never arrive.
+  /// Restores serial order after AbsorbWindowShard: migrations, problems,
+  /// and pending checks are re-sorted by their L offsets. At most one
+  /// shard emits problems for a given offset, so a stable sort reproduces
+  /// the serial problem list byte for byte.
+  void FinishMerge();
+
+  /// End-of-window step: resolves the pending UNDO justifications that
+  /// the current state *can* answer (the moved tuple is present again)
+  /// and the identity changes whose transaction is now stamped, and keeps
+  /// the rest pending — mid-chain, the justifying SHREDDED, page move, or
+  /// STAMP_TRANS may simply lie in a later window. Finalize remains the
+  /// authoritative reporter for justifications that never arrive.
   void ResolvePendingMoves();
 
-  /// Verify mode: run after the full scan. Resolves deferred UNDO
+  /// Verify mode: run after the last window. Resolves deferred UNDO
   /// justifications — a stamped tuple's UNDO with no SHREDDED record is
   /// legitimate only if the tuple still exists elsewhere in the final
-  /// state (a crash-reconciliation page move), never if it vanished.
+  /// state (a crash-reconciliation page move), never if it vanished —
+  /// and drops identity changes whose transaction never committed.
   Status Finalize();
 
   /// Verify mode: net change to the live-tuple identity ADD_HASH implied
   /// by this epoch's log (folding it into the previous snapshot's hash
-  /// yields the expected hash of the final database state).
+  /// yields the expected hash of the final database state). Complete
+  /// only after Finalize: an unstamped tuple's identity waits for its
+  /// transaction's STAMP_TRANS, which may lie in a later window.
   const AddHash& identity_delta() const { return identity_delta_; }
   /// Verify mode: identities migrated to WORM this epoch.
   const AddHash& migrated_delta() const { return migrated_delta_; }
@@ -174,7 +183,22 @@ class PageReplayer {
   static Result<std::string> IndexEntrySortKey(Slice entry);
 
  private:
+  /// How a record changes the identity hashes: NEW_TUPLE adds, UNDO
+  /// removes, MIGRATE moves the identity from live to migrated.
+  enum class IdentityChange { kAdd, kRemove, kMigrate };
+  struct PendingIdentity {
+    uint32_t tree_id = 0;
+    std::string tuple;
+    IdentityChange change = IdentityChange::kAdd;
+  };
+
   void Problem(const std::string& what);
+  /// Applies `change` for `tuple` now, or defers it while the tuple's
+  /// transaction has no STAMP_TRANS in the summary yet.
+  void ChangeIdentity(uint32_t tree_id, const std::string& tuple,
+                      IdentityChange change);
+  /// Applies the deferred changes whose transaction is now stamped.
+  void ResolvePendingIdentities();
 
   Options opts_;
   const LogSummary* summary_;
@@ -193,6 +217,7 @@ class PageReplayer {
   // (identity bytes, L offset) of stamped UNDOs awaiting the final-state
   // presence check.
   std::vector<std::pair<std::string, uint64_t>> pending_move_checks_;
+  std::vector<PendingIdentity> pending_identities_;
 };
 
 }  // namespace complydb

@@ -164,6 +164,14 @@ Status CompliantDB::Init() {
     }
   }
   if (options_.read_only) write_threads_ = 1;
+  // CI (and operators) force the parallel audit path everywhere via env.
+  if (const char* env = std::getenv("COMPLYDB_AUDIT_THREADS")) {
+    char* end = nullptr;
+    unsigned long v = std::strtoul(env, &end, 10);
+    if (end != env && *end == '\0') {
+      options_.audit_threads = static_cast<uint32_t>(v);
+    }
+  }
   if (write_threads_ > 1 && options_.compliance.enabled) {
     options_.compliance.async_shipping = true;
   }
@@ -1140,14 +1148,7 @@ RetentionResolver CompliantDB::MakeRetentionResolver() {
 }
 
 Result<AuditReport> CompliantDB::Audit() {
-  uint32_t threads = options_.audit_threads;
-  // CI (and operators) force the parallel path everywhere via env.
-  if (const char* env = std::getenv("COMPLYDB_AUDIT_THREADS")) {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') threads = static_cast<uint32_t>(v);
-  }
-  return Audit(threads);
+  return Audit(options_.audit_threads);
 }
 
 Result<AuditReport> CompliantDB::Audit(uint32_t num_threads) {
@@ -1215,8 +1216,15 @@ Result<AuditReport> CompliantDB::AuditInternal(const AuditOptions& overrides) {
   };
   opts.num_threads = overrides.num_threads;
 
+  // The audit finishes the live certification cursor: only the
+  // uncertified delta of L is replayed. It spends the cursor whatever the
+  // verdict, so the next certification run attaches afresh.
+  std::unique_lock<std::mutex> cert_lock(cert_mu_);
+  AuditCursor* live = EnsureCursorLocked().ok() ? cursor_.get() : nullptr;
   Auditor auditor(opts, worm_.get(), disk_.get());
-  auto report = auditor.Audit(epoch_, /*write_snapshot=*/true);
+  auto report = auditor.Audit(epoch_, /*write_snapshot=*/true, live);
+  cursor_.reset();
+  cert_lock.unlock();
   if (!report.ok()) return report.status();
 
   if (report.value().ok()) {
@@ -1236,11 +1244,10 @@ Result<AuditReport> CompliantDB::AuditInternal(const AuditOptions& overrides) {
     CDB_RETURN_IF_ERROR(logger_->StartFreshEpoch(epoch_));
     txtail_seq_ = 0;
     CDB_RETURN_IF_ERROR(RotateTxTail());
-    // The chain and certification cursor restart with the fresh epoch:
-    // the full audit just re-established trust from first principles, so
-    // the old chain (released above) has nothing left to certify.
+    // The chain restarts with the fresh epoch: the full audit just
+    // re-established trust from first principles, so the old chain
+    // (released above) has nothing left to certify.
     std::lock_guard<std::mutex> lock(cert_mu_);
-    cursor_.reset();
     last_incremental_us_.store(0, std::memory_order_relaxed);
     if (sealer_ != nullptr) {
       CDB_RETURN_IF_ERROR(sealer_->Attach(epoch_));
@@ -1286,13 +1293,7 @@ Status CompliantDB::EnsureCursorLocked() {
 }
 
 Result<IncrementalAuditReport> CompliantDB::AuditIncremental() {
-  uint32_t threads = options_.audit_threads;
-  if (const char* env = std::getenv("COMPLYDB_AUDIT_THREADS")) {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') threads = static_cast<uint32_t>(v);
-  }
-  return AuditIncremental(threads);
+  return AuditIncremental(options_.audit_threads);
 }
 
 Result<IncrementalAuditReport> CompliantDB::AuditIncremental(

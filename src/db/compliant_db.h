@@ -99,11 +99,12 @@ struct DbOptions {
   /// blocks the engine).
   uint16_t telemetry_port = 0;
 
-  /// Worker threads for Audit()'s replay/final-state/index-check phases.
-  /// 1 = serial reference path; 0 = hardware_concurrency. The
-  /// COMPLYDB_AUDIT_THREADS environment variable, when set, overrides
-  /// this (CI uses it to exercise the parallel path everywhere). The
-  /// report is byte-identical at any thread count.
+  /// Worker threads for Audit()'s replay/final-state/index-check phases
+  /// and AuditIncremental()'s window replay. 1 = serial reference path;
+  /// 0 = hardware_concurrency. The COMPLYDB_AUDIT_THREADS environment
+  /// variable, when set at Open, overrides this (CI uses it to exercise
+  /// the parallel path everywhere). The report is byte-identical at any
+  /// thread count.
   uint32_t audit_threads = 1;
 
   /// Minimum new L bytes before the commit pipeline's epoch leader seals
@@ -267,7 +268,9 @@ class CompliantDB {
 
   // --- audit (§IV) ---
   /// Quiesces, flushes, audits the current epoch; on success releases
-  /// superseded WORM files and begins the next epoch. Runs with the
+  /// superseded WORM files and begins the next epoch. The audit finishes
+  /// the certification cursor, so only L past the certified head is
+  /// replayed (DESIGN.md, "Incremental certification"). Runs with the
   /// configured audit_threads (or the COMPLYDB_AUDIT_THREADS override);
   /// the overload pins a specific worker count for this run.
   Result<AuditReport> Audit();

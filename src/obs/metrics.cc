@@ -158,16 +158,18 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   for (const auto& [name, h] : impl_->histograms) {
     HistogramSnapshot hs;
     hs.name = name;
-    hs.count = h->Count();
+    // The count is the sum of the buckets as read: a Record racing this
+    // snapshot then never leaves the +Inf bucket below a finite one.
+    hs.buckets.resize(Histogram::kBuckets);
+    for (int i = 0; i < Histogram::kBuckets; ++i) {
+      hs.buckets[i] = h->BucketCount(i);
+      hs.count += hs.buckets[i];
+    }
     hs.sum_us = h->SumMicros();
     hs.max_us = h->MaxMicros();
     hs.p50 = h->Quantile(0.50);
     hs.p95 = h->Quantile(0.95);
     hs.p99 = h->Quantile(0.99);
-    hs.buckets.resize(Histogram::kBuckets);
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      hs.buckets[i] = h->BucketCount(i);
-    }
     snap.histograms.push_back(std::move(hs));
   }
   return snap;

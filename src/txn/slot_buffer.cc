@@ -10,7 +10,7 @@ Result<Transaction*> SlotWriteBuffer::BeginDeferred() {
   txn->slot_buffer_ = this;
   active_ = txn.get();
   txns_.push_back(std::move(txn));
-  ops_.push_back(Op{OpKind::kBegin});
+  ops_.push_back(Op{OpKind::kBegin, 0, {}, {}});
   return active_;
 }
 
@@ -41,7 +41,7 @@ Status SlotWriteBuffer::Delete(Transaction* txn, uint32_t tree_id, Slice key) {
         "key already written in this transaction; coalesce writes");
   }
   pending_[ok] = std::nullopt;
-  ops_.push_back(Op{OpKind::kDelete, tree_id, key.ToString()});
+  ops_.push_back(Op{OpKind::kDelete, tree_id, key.ToString(), {}});
   return Status::OK();
 }
 
@@ -56,7 +56,7 @@ Status SlotWriteBuffer::Commit(Transaction* txn) {
   pending_.clear();
   txn->state_ = Transaction::State::kCommitted;
   active_ = nullptr;
-  ops_.push_back(Op{OpKind::kCommit});
+  ops_.push_back(Op{OpKind::kCommit, 0, {}, {}});
   return Status::OK();
 }
 
@@ -68,7 +68,7 @@ Status SlotWriteBuffer::Abort(Transaction* txn) {
   pending_.clear();
   txn->state_ = Transaction::State::kAborted;
   active_ = nullptr;
-  ops_.push_back(Op{OpKind::kAbort});
+  ops_.push_back(Op{OpKind::kAbort, 0, {}, {}});
   return Status::OK();
 }
 

@@ -14,10 +14,13 @@
 #include "common/coding.h"
 #include "compliance/compliance_log.h"
 #include "db/compliant_db.h"
+#include "numbered.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 
@@ -55,8 +58,8 @@ class AdversaryTest : public ::testing::Test {
       auto txn = db_->Begin();
       EXPECT_TRUE(txn.ok());
       EXPECT_TRUE(db_->Put(txn.value(), table_,
-                           "acct" + std::to_string(1000 + i),
-                           "balance-" + std::to_string(i))
+                           Numbered("acct", 1000 + i),
+                           Numbered("balance-", i))
                       .ok());
       EXPECT_TRUE(db_->Commit(txn.value()).ok());
     }
@@ -223,7 +226,7 @@ TEST_F(AdversaryTest, WalTruncationDetected) {
     auto txn = db_->Begin();
     ASSERT_TRUE(txn.ok());
     ASSERT_TRUE(
-        db_->Put(txn.value(), table.value(), "k" + std::to_string(i), "v")
+        db_->Put(txn.value(), table.value(), Numbered("k", i), "v")
             .ok());
     ASSERT_TRUE(db_->Commit(txn.value()).ok());
   }
@@ -370,7 +373,7 @@ TEST_F(AdversaryTest, TamperWhileDbRunningCaughtAtNextAudit) {
     for (int i = 0; i < 30; ++i) {
       auto txn = db_->Begin();
       ASSERT_TRUE(txn.ok());
-      ASSERT_TRUE(db_->Put(txn.value(), table, "k" + std::to_string(i), "v")
+      ASSERT_TRUE(db_->Put(txn.value(), table, Numbered("k", i), "v")
                       .ok());
       ASSERT_TRUE(db_->Commit(txn.value()).ok());
     }

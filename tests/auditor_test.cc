@@ -216,6 +216,12 @@ TEST_F(AuditorTest, EnvOverrideControlsFacadeAuditThreads) {
   const char* prev = ::getenv("COMPLYDB_AUDIT_THREADS");
   std::string saved = prev != nullptr ? prev : "";
   ASSERT_EQ(::setenv("COMPLYDB_AUDIT_THREADS", "3", /*overwrite=*/1), 0);
+  // The override is read once, at Open.
+  ASSERT_TRUE(db_->Close().ok());
+  db_.reset();
+  auto reopened = CompliantDB::Open(MakeOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  db_.reset(reopened.value());
   auto report = db_->Audit();
   if (prev != nullptr) {
     ::setenv("COMPLYDB_AUDIT_THREADS", saved.c_str(), 1);

@@ -11,12 +11,15 @@
 
 #include "btree/integrity.h"
 #include "common/random.h"
+#include "numbered.h"
 #include "storage/buffer_cache.h"
 #include "storage/disk_manager.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 class BtreeTest : public ::testing::Test {
  protected:
@@ -132,7 +135,7 @@ TEST_F(BtreeTest, ManyKeysForceMultiLevelSplits) {
   for (int i = 0; i < kN; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "key%06d", i);
-    Put(key, "value-" + std::to_string(i), start++);
+    Put(key, Numbered("value-", i), start++);
   }
   ExpectIntegrityOk();
 
@@ -146,14 +149,14 @@ TEST_F(BtreeTest, ManyKeysForceMultiLevelSplits) {
     std::snprintf(key, sizeof(key), "key%06d", i);
     TupleData t;
     ASSERT_TRUE(tree_->GetLatest(key, &t).ok()) << key;
-    EXPECT_EQ(t.value, "value-" + std::to_string(i));
+    EXPECT_EQ(t.value, Numbered("value-", i));
   }
 }
 
 TEST_F(BtreeTest, SingleKeyManyVersionsSpansPages) {
   const int kN = 300;  // ~36 tuples/page -> versions span many leaves
   for (int i = 0; i < kN; ++i) {
-    Put("hotkey", "v" + std::to_string(i), static_cast<uint64_t>(i + 1));
+    Put("hotkey", Numbered("v", i), static_cast<uint64_t>(i + 1));
   }
   ExpectIntegrityOk();
   std::vector<TupleData> versions;
@@ -164,7 +167,7 @@ TEST_F(BtreeTest, SingleKeyManyVersionsSpansPages) {
   }
   TupleData t;
   ASSERT_TRUE(tree_->GetLatest("hotkey", &t).ok());
-  EXPECT_EQ(t.value, "v" + std::to_string(kN - 1));
+  EXPECT_EQ(t.value, Numbered("v", kN - 1));
 }
 
 TEST_F(BtreeTest, ScanAllInOrder) {
@@ -327,7 +330,7 @@ TEST_F(BtreeTest, IntegrityDetectsBrokenSiblingChain) {
 class BtreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BtreePropertyTest, MatchesModel) {
-  testutil::TestDir test_dir("btree_prop_" + std::to_string(GetParam()));
+  testutil::TestDir test_dir(Numbered("btree_prop_", GetParam()));
   auto d = DiskManager::Open(test_dir.path() + "/tree.db");
   ASSERT_TRUE(d.ok());
   std::unique_ptr<DiskManager> disk(d.value());
@@ -345,7 +348,7 @@ TEST_P(BtreePropertyTest, MatchesModel) {
   uint64_t start = 1;
 
   for (int step = 0; step < 1500; ++step) {
-    std::string key = "k" + std::to_string(rng.Uniform(80));
+    std::string key = Numbered("k", rng.Uniform(80));
     uint64_t op = rng.Uniform(10);
     if (op < 8) {
       std::string value = rng.Bytes(1 + rng.Uniform(50));

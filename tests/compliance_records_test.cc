@@ -180,7 +180,10 @@ TEST_F(ComplianceLogTest, SummarizeDetectsConflicts) {
   ASSERT_TRUE(log.Append(abort_rec).ok());
 
   LogSummary summary;
-  ASSERT_TRUE(SummarizeLog(log, &summary).ok());
+  ASSERT_TRUE(log.Scan([&](const CRecord& rec, uint64_t offset) {
+                   SummarizeRecord(rec, offset, &summary);
+                   return Status::OK();
+                 }).ok());
   EXPECT_EQ(summary.problems.size(), 2u);
   EXPECT_EQ(summary.stamps.at(5), 50u);  // first one wins
   EXPECT_EQ(summary.aborts.count(5), 1u);

@@ -5,10 +5,13 @@
 #include <filesystem>
 #include <memory>
 
+#include "numbered.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 
@@ -107,8 +110,8 @@ TEST_F(CompliantDbTest, FirstAuditPasses) {
   auto table = db_->CreateTable("t");
   ASSERT_TRUE(table.ok());
   for (int i = 0; i < 50; ++i) {
-    PutCommitted(table.value(), "key" + std::to_string(i),
-                 "value" + std::to_string(i));
+    PutCommitted(table.value(), Numbered("key", i),
+                 Numbered("value", i));
   }
   ExpectAuditOk();
   EXPECT_EQ(db_->epoch(), 1u);
@@ -121,8 +124,8 @@ TEST_F(CompliantDbTest, MultipleEpochsAudit) {
   for (int epoch = 0; epoch < 3; ++epoch) {
     for (int i = 0; i < 30; ++i) {
       PutCommitted(table.value(),
-                   "e" + std::to_string(epoch) + "k" + std::to_string(i),
-                   "v" + std::to_string(i));
+                   Numbered(Numbered("e", epoch) + "k", i),
+                   Numbered("v", i));
     }
     clock_.AdvanceMicros(kMinute);
     ExpectAuditOk();
@@ -139,16 +142,16 @@ TEST_F(CompliantDbTest, AuditAfterUpdatesAndDeletes) {
   auto table = db_->CreateTable("t");
   ASSERT_TRUE(table.ok());
   for (int i = 0; i < 20; ++i) {
-    PutCommitted(table.value(), "k" + std::to_string(i), "v0");
+    PutCommitted(table.value(), Numbered("k", i), "v0");
   }
   for (int i = 0; i < 20; i += 2) {
-    PutCommitted(table.value(), "k" + std::to_string(i), "v1");
+    PutCommitted(table.value(), Numbered("k", i), "v1");
   }
   for (int i = 0; i < 20; i += 4) {
     auto txn = db_->Begin();
     ASSERT_TRUE(txn.ok());
     ASSERT_TRUE(
-        db_->Delete(txn.value(), table.value(), "k" + std::to_string(i)).ok());
+        db_->Delete(txn.value(), table.value(), Numbered("k", i)).ok());
     ASSERT_TRUE(db_->Commit(txn.value()).ok());
   }
   ExpectAuditOk();
@@ -159,11 +162,11 @@ TEST_F(CompliantDbTest, AuditAfterAborts) {
   auto table = db_->CreateTable("t");
   ASSERT_TRUE(table.ok());
   for (int i = 0; i < 20; ++i) {
-    PutCommitted(table.value(), "k" + std::to_string(i), "keep");
+    PutCommitted(table.value(), Numbered("k", i), "keep");
     auto txn = db_->Begin();
     ASSERT_TRUE(txn.ok());
     ASSERT_TRUE(
-        db_->Put(txn.value(), table.value(), "tmp" + std::to_string(i), "x")
+        db_->Put(txn.value(), table.value(), Numbered("tmp", i), "x")
             .ok());
     ASSERT_TRUE(db_->Abort(txn.value()).ok());
   }
@@ -185,7 +188,7 @@ TEST_F(CompliantDbTest, StealFlushesUncommittedThenAbort) {
   ASSERT_TRUE(txn.ok());
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(db_->Put(txn.value(), table.value(),
-                         "abort-key" + std::to_string(1000 + i), "payload")
+                         Numbered("abort-key", 1000 + i), "payload")
                     .ok());
   }
   ASSERT_TRUE(db_->Abort(txn.value()).ok());
@@ -273,7 +276,7 @@ TEST_F(CompliantDbTest, CrashRecoversCommittedWork) {
   ASSERT_TRUE(table.ok());
   uint32_t tid = table.value();
   for (int i = 0; i < 40; ++i) {
-    PutCommitted(tid, "k" + std::to_string(i), "v" + std::to_string(i));
+    PutCommitted(tid, Numbered("k", i), Numbered("v", i));
   }
   // Crash: no Close(), dirty pages and the logger state are lost.
   db_.reset();
@@ -282,8 +285,8 @@ TEST_F(CompliantDbTest, CrashRecoversCommittedWork) {
   EXPECT_TRUE(db_->recovered_from_crash());
   std::string value;
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(db_->Get(tid, "k" + std::to_string(i), &value).ok()) << i;
-    EXPECT_EQ(value, "v" + std::to_string(i));
+    ASSERT_TRUE(db_->Get(tid, Numbered("k", i), &value).ok()) << i;
+    EXPECT_EQ(value, Numbered("v", i));
   }
   ExpectAuditOk();
 }
@@ -318,7 +321,7 @@ TEST_F(CompliantDbTest, CrashAcrossManyTxnsThenAudit) {
   uint32_t tid = table.value();
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 25; ++i) {
-      PutCommitted(tid, "r" + std::to_string(round) + "k" + std::to_string(i),
+      PutCommitted(tid, Numbered(Numbered("r", round) + "k", i),
                    "v");
     }
     db_.reset();
@@ -362,15 +365,15 @@ TEST_F(CompliantDbTest, HashOnReadAuditVerifiesReads) {
   auto table = db_->CreateTable("t");
   ASSERT_TRUE(table.ok());
   for (int i = 0; i < 300; ++i) {
-    PutCommitted(table.value(), "key" + std::to_string(i % 100),
-                 "v" + std::to_string(i));
+    PutCommitted(table.value(), Numbered("key", i % 100),
+                 Numbered("v", i));
   }
   // Cold cache: subsequent reads must hit disk, each logging a READ hash.
   ASSERT_TRUE(db_->FlushAll().ok());
   ASSERT_TRUE(db_->cache()->DropAll().ok());
   std::string value;
   for (int i = 0; i < 100; i += 7) {
-    ASSERT_TRUE(db_->Get(table.value(), "key" + std::to_string(i), &value).ok());
+    ASSERT_TRUE(db_->Get(table.value(), Numbered("key", i), &value).ok());
   }
   EXPECT_GT(db_->compliance_logger()->stats().read_hashes, 0u);
   auto report = db_->Audit();
@@ -387,8 +390,8 @@ TEST_F(CompliantDbTest, ManyTablesAndScan) {
   ASSERT_TRUE(t1.ok());
   ASSERT_TRUE(t2.ok());
   for (int i = 0; i < 10; ++i) {
-    PutCommitted(t1.value(), "a" + std::to_string(i), "1");
-    PutCommitted(t2.value(), "b" + std::to_string(i), "2");
+    PutCommitted(t1.value(), Numbered("a", i), "1");
+    PutCommitted(t2.value(), Numbered("b", i), "2");
   }
   size_t count = 0;
   ASSERT_TRUE(db_->ScanCurrent(t1.value(), "", "",
@@ -413,7 +416,7 @@ TEST_F(CompliantDbTest, BoundedBaselineCacheStaysAuditClean) {
   auto table = db_->CreateTable("t");
   ASSERT_TRUE(table.ok());
   for (int i = 0; i < 400; ++i) {
-    PutCommitted(table.value(), "key" + std::to_string(i * 7919 % 10000),
+    PutCommitted(table.value(), Numbered("key", i * 7919 % 10000),
                  std::string(50, 'x'));
   }
   ASSERT_TRUE(db_->FlushAll().ok());
@@ -421,7 +424,7 @@ TEST_F(CompliantDbTest, BoundedBaselineCacheStaysAuditClean) {
 
   // And across a crash (unsynced replay baselines must stay pinned).
   for (int i = 0; i < 100; ++i) {
-    PutCommitted(table.value(), "post" + std::to_string(i), "y");
+    PutCommitted(table.value(), Numbered("post", i), "y");
   }
   db_.reset();
   DbOptions reopened = MakeOptions();
@@ -430,7 +433,7 @@ TEST_F(CompliantDbTest, BoundedBaselineCacheStaysAuditClean) {
   OpenDb(reopened);
   EXPECT_TRUE(db_->recovered_from_crash());
   for (int i = 0; i < 100; ++i) {
-    PutCommitted(table.value(), "after" + std::to_string(i), "z");
+    PutCommitted(table.value(), Numbered("after", i), "z");
   }
   ASSERT_TRUE(db_->FlushAll().ok());
   ExpectAuditOk();
@@ -441,7 +444,7 @@ TEST_F(CompliantDbTest, VerifyOnOpenRefusesCorruptDatabase) {
   auto table = db_->CreateTable("t");
   ASSERT_TRUE(table.ok());
   for (int i = 0; i < 40; ++i) {
-    PutCommitted(table.value(), "k" + std::to_string(i), "v");
+    PutCommitted(table.value(), Numbered("k", i), "v");
   }
   ASSERT_TRUE(db_->Close().ok());
   db_.reset();

@@ -11,9 +11,12 @@
 #include "crypto/sha256.h"
 #include "crypto/sha256_kernels.h"
 #include "crypto/sha512.h"
+#include "numbered.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 // ---------- SHA-256 ----------
 
@@ -225,12 +228,12 @@ TEST(AddHashTest, IncrementalEqualsBatch) {
   // elements into one — the auditor relies on this.
   AddHash ds, log, merged;
   for (int i = 0; i < 50; ++i) {
-    std::string e = "snapshot-tuple-" + std::to_string(i);
+    std::string e = Numbered("snapshot-tuple-", i);
     ds.Add(e);
     merged.Add(e);
   }
   for (int i = 0; i < 30; ++i) {
-    std::string e = "log-tuple-" + std::to_string(i);
+    std::string e = Numbered("log-tuple-", i);
     log.Add(e);
     merged.Add(e);
   }
@@ -253,8 +256,8 @@ TEST(AddHashTest, RemoveInvertsAdd) {
 
 TEST(AddHashTest, RemoveAllYieldsEmpty) {
   AddHash h;
-  for (int i = 0; i < 20; ++i) h.Add("e" + std::to_string(i));
-  for (int i = 19; i >= 0; --i) h.Remove("e" + std::to_string(i));
+  for (int i = 0; i < 20; ++i) h.Add(Numbered("e", i));
+  for (int i = 19; i >= 0; --i) h.Remove(Numbered("e", i));
   EXPECT_EQ(h, AddHash());
 }
 

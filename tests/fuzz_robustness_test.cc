@@ -33,7 +33,9 @@ TEST_P(FuzzTest, WalRecordDecodeNeverCrashes) {
     size_t consumed = 0;
     Status s = WalRecord::Decode(garbage, &rec, &consumed);
     // Either corrupt or (astronomically unlikely) valid — never UB.
-    if (s.ok()) EXPECT_LE(consumed, garbage.size());
+    if (s.ok()) {
+      EXPECT_LE(consumed, garbage.size());
+    }
   }
 }
 
@@ -46,7 +48,9 @@ TEST_P(FuzzTest, CRecordDecodeNeverCrashes) {
     CRecord rec;
     size_t consumed = 0;
     Status s = CRecord::Decode(garbage, &rec, &consumed);
-    if (s.ok()) EXPECT_LE(consumed, garbage.size());
+    if (s.ok()) {
+      EXPECT_LE(consumed, garbage.size());
+    }
   }
 }
 
@@ -73,7 +77,9 @@ TEST_P(FuzzTest, TruncatedValidRecordsRejected) {
     WalRecord out;
     size_t consumed = 0;
     Status s = WalRecord::Decode(mutated, &out, &consumed);
-    if (mutated != valid) EXPECT_FALSE(s.ok());
+    if (mutated != valid) {
+      EXPECT_FALSE(s.ok());
+    }
   }
 }
 

@@ -1,9 +1,12 @@
 // Incremental per-epoch certification: sealing, O(delta) certification,
 // incremental-vs-full-replay equivalence (including across crash/reopen
 // and across worker counts), inclusion proofs, wait-for-quiesce, exit
-// codes, and tamper detection under concurrent reader/writer load.
+// codes, tamper detection under concurrent reader/writer load, and the
+// full audit and standalone cdb_audit catching L edits in the certified
+// prefix, the sealed range, and the unsealed tail.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
 #include <chrono>
@@ -25,10 +28,13 @@
 #include "crypto/hmac.h"
 #include "db/compliant_db.h"
 #include "db/snapshot_reader.h"
+#include "numbered.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 
@@ -130,6 +136,36 @@ class IncrementalAuditTest : public ::testing::Test {
 
   std::string LogPath() const { return dir_ + "/worm/" + LogFileName(0); }
 
+  // L offsets bounding the three regions a full audit must cover.
+  struct LRegions {
+    uint64_t certified = 0;  // [0, certified): certified prefix
+    uint64_t sealed = 0;     // [certified, sealed): sealed, uncertified
+    uint64_t end = 0;        // [sealed, end): unsealed tail
+  };
+
+  // Writes, certifies, writes and seals, then writes an unsealed tail.
+  LRegions GrowThreeRegions(uint32_t table) {
+    LRegions r;
+    for (int i = 0; i < 30; ++i) PutRow(table, Numbered("c", i), "v");
+    EXPECT_TRUE(db_->FlushAll().ok());
+    auto rep = db_->AuditIncremental(1);
+    EXPECT_TRUE(rep.ok() && rep.value().ok());
+    if (rep.ok()) r.certified = rep.value().certified_offset;
+    for (int i = 0; i < 20; ++i) PutRow(table, Numbered("s", i), "v");
+    EXPECT_TRUE(db_->FlushAll().ok());
+    EXPECT_TRUE(db_->SealEpochNow().ok());
+    auto cs = db_->Certification();
+    EXPECT_TRUE(cs.ok());
+    if (cs.ok()) r.sealed = cs.value().sealed_offset;
+    for (int i = 0; i < 20; ++i) PutRow(table, Numbered("u", i), "v");
+    EXPECT_TRUE(db_->FlushAll().ok());
+    r.end = ReadFileBytes(LogPath()).size();
+    EXPECT_LT(0u, r.certified);
+    EXPECT_LT(r.certified, r.sealed);
+    EXPECT_LT(r.sealed, r.end);
+    return r;
+  }
+
   testutil::TestDir test_dir_{"inc_audit_" + testutil::TestName()};
   std::unique_ptr<SimulatedClock> clock_ =
       std::make_unique<SimulatedClock>();
@@ -142,7 +178,7 @@ TEST_F(IncrementalAuditTest, SealsAndCertifiesWithoutQuiescing) {
   Open(MakeOptions(FreshDir("basics")));
   uint32_t t = MakeTable("acct");
   for (int i = 0; i < 25; ++i) {
-    PutRow(t, "k" + std::to_string(i), "v" + std::to_string(i));
+    PutRow(t, Numbered("k", i), Numbered("v", i));
   }
   // A reader stays open across the whole run: the full audit would
   // return Busy, the incremental one must not care.
@@ -180,7 +216,7 @@ TEST_F(IncrementalAuditTest, RecertificationCostIsODelta) {
   uint64_t first_bytes = 0;
   for (int step = 0; step < 4; ++step) {
     for (int i = 0; i < 20; ++i) {
-      PutRow(t, "s" + std::to_string(step) + "k" + std::to_string(i), "v");
+      PutRow(t, Numbered(Numbered("s", step) + "k", i), "v");
     }
     auto rep = db_->AuditIncremental(1);
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
@@ -206,7 +242,7 @@ TEST_F(IncrementalAuditTest, IncrementalMatchesFullReplay) {
   uint32_t t = MakeTable("acct");
   for (int step = 0; step < 3; ++step) {
     for (int i = 0; i < 15; ++i) {
-      PutRow(t, "s" + std::to_string(step) + "k" + std::to_string(i),
+      PutRow(t, Numbered(Numbered("s", step) + "k", i),
              std::string(1 + i % 40, 'x'));
     }
     auto inc = db_->AuditIncremental(1);
@@ -233,19 +269,19 @@ TEST_F(IncrementalAuditTest, EquivalenceSurvivesCrashAndReopen) {
   DbOptions opts = MakeOptions(FreshDir("crash"));
   Open(opts);
   uint32_t t = MakeTable("acct");
-  for (int i = 0; i < 20; ++i) PutRow(t, "k" + std::to_string(i), "v1");
+  for (int i = 0; i < 20; ++i) PutRow(t, Numbered("k", i), "v1");
   auto rep = db_->AuditIncremental(1);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   ASSERT_TRUE(rep.value().ok());
   const uint64_t certified_before = rep.value().certified_seq;
-  for (int i = 0; i < 20; ++i) PutRow(t, "k" + std::to_string(i), "v2");
+  for (int i = 0; i < 20; ++i) PutRow(t, Numbered("k", i), "v2");
 
   // Crash: destroy without Close. The certification marker written by the
   // clean run above must be picked up on reopen.
   db_.reset();
   Open(opts);
   t = db_->GetTable("acct").value();
-  for (int i = 0; i < 10; ++i) PutRow(t, "post" + std::to_string(i), "v3");
+  for (int i = 0; i < 10; ++i) PutRow(t, Numbered("post", i), "v3");
 
   auto inc = db_->AuditIncremental(1);
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
@@ -269,7 +305,7 @@ TEST_F(IncrementalAuditTest, WindowReplayIsDeterministicAcrossThreads) {
   Open(MakeOptions(FreshDir("threads")));
   uint32_t t = MakeTable("acct");
   for (int i = 0; i < 60; ++i) {
-    PutRow(t, "k" + std::to_string(i % 17), std::string(1 + i % 64, 'y'));
+    PutRow(t, Numbered("k", i % 17), std::string(1 + i % 64, 'y'));
   }
   auto serial = db_->AuditFullReplay(1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
@@ -288,7 +324,7 @@ TEST_F(IncrementalAuditTest, InclusionProofVerifiesAndBindsAllFields) {
   Open(MakeOptions(FreshDir("proof")));
   uint32_t t = MakeTable("acct");
   for (int i = 0; i < 10; ++i) {
-    PutRow(t, "k" + std::to_string(i), "balance-" + std::to_string(i));
+    PutRow(t, Numbered("k", i), Numbered("balance-", i));
   }
   // Tuple bodies reach L on page writeback (within the regret interval);
   // flush so the certified range covers the NEW_TUPLE records.
@@ -370,7 +406,7 @@ TEST_F(IncrementalAuditTest, ProofForUncertifiedVersionIsNotFound) {
 TEST_F(IncrementalAuditTest, FullAuditRollsTheChainToAFreshEpoch) {
   Open(MakeOptions(FreshDir("roll")));
   uint32_t t = MakeTable("acct");
-  for (int i = 0; i < 10; ++i) PutRow(t, "k" + std::to_string(i), "v");
+  for (int i = 0; i < 10; ++i) PutRow(t, Numbered("k", i), "v");
   auto rep = db_->AuditIncremental(1);
   ASSERT_TRUE(rep.ok());
   ASSERT_TRUE(rep.value().ok());
@@ -388,7 +424,7 @@ TEST_F(IncrementalAuditTest, FullAuditRollsTheChainToAFreshEpoch) {
   EXPECT_EQ(cs.value().certified_seq, 0u);
 
   // And the incremental machinery works inside the new epoch.
-  for (int i = 0; i < 5; ++i) PutRow(t, "n" + std::to_string(i), "v");
+  for (int i = 0; i < 5; ++i) PutRow(t, Numbered("n", i), "v");
   auto rep2 = db_->AuditIncremental(1);
   ASSERT_TRUE(rep2.ok()) << rep2.status().ToString();
   EXPECT_TRUE(rep2.value().ok()) << rep2.value().problems[0];
@@ -448,7 +484,7 @@ TEST_F(IncrementalAuditTest, TamperDetectedUnderConcurrentLoad) {
   Open(MakeOptions(FreshDir("chaos"), /*write_threads=*/2));
   uint32_t t = MakeTable("acct");
   for (int i = 0; i < 40; ++i) {
-    PutRow(t, "seed" + std::to_string(i), "v" + std::to_string(i));
+    PutRow(t, Numbered("seed", i), Numbered("v", i));
   }
   auto rep = db_->AuditIncremental(2);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
@@ -458,7 +494,7 @@ TEST_F(IncrementalAuditTest, TamperDetectedUnderConcurrentLoad) {
 
   // Grow a sealed-but-uncertified tail.
   for (int i = 0; i < 20; ++i) {
-    PutRow(t, "tail" + std::to_string(i), "v");
+    PutRow(t, Numbered("tail", i), "v");
   }
   ASSERT_TRUE(db_->SealEpochNow().ok());
   auto cs = db_->Certification();
@@ -487,7 +523,7 @@ TEST_F(IncrementalAuditTest, TamperDetectedUnderConcurrentLoad) {
       for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
         auto txn = db_->Begin();
         if (!txn.ok()) continue;
-        std::string key = "w" + std::to_string(w) + "-" + std::to_string(i);
+        std::string key = Numbered(Numbered("w", w) + "-", i);
         if (db_->Put(txn.value(), t, key, "load").ok() &&
             db_->Commit(txn.value()).ok()) {
           commits.fetch_add(1, std::memory_order_relaxed);
@@ -503,7 +539,7 @@ TEST_F(IncrementalAuditTest, TamperDetectedUnderConcurrentLoad) {
         std::unique_ptr<SnapshotReader> reader(snap.value());
         std::string value;
         for (int i = 0; i < 10; ++i) {
-          if (reader->Get(t, "seed" + std::to_string(i), &value).ok()) {
+          if (reader->Get(t, Numbered("seed", i), &value).ok()) {
             reads.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -528,6 +564,120 @@ TEST_F(IncrementalAuditTest, TamperDetectedUnderConcurrentLoad) {
   for (auto& w : workers) w.join();
   EXPECT_GT(commits.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
+}
+
+// Certification does not quiesce, so a sealed window can end between a
+// transaction's NEW_TUPLE and its STAMP_TRANS. The full audit that then
+// finishes the cursor must still count that tuple in the ADD_HASH delta.
+TEST_F(IncrementalAuditTest, FullAuditCountsATupleSealedBeforeItsCommit) {
+  Open(MakeOptions(FreshDir("split_txn")));
+  uint32_t t = MakeTable("acct");
+  for (int i = 0; i < 10; ++i) PutRow(t, Numbered("k", i), "v");
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(db_->Put(txn.value(), t, "open", "v").ok());
+  ASSERT_TRUE(db_->FlushAll().ok());  // the unstamped tuple reaches L
+  auto rep = db_->AuditIncremental(1);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  ASSERT_TRUE(rep.value().ok()) << rep.value().problems[0];
+  ASSERT_TRUE(db_->Commit(txn.value()).ok());
+  auto audit = db_->Audit(1);
+  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+  EXPECT_TRUE(audit.value().ok()) << audit.value().problems[0];
+}
+
+// Mala edits one L payload byte after a certification run: in the
+// certified prefix, in the sealed-but-uncertified range, or in the
+// unsealed tail. The full audit re-hashes the prefix, certifies the
+// sealed range, and replays the tail, so each edit fails it — with and
+// without hash-on-read.
+TEST_F(IncrementalAuditTest, FullAuditCatchesLEditsInEveryRegion) {
+  for (bool hash_on_read : {false, true}) {
+    for (const char* region : {"certified", "sealed", "unsealed"}) {
+      SCOPED_TRACE(std::string(region) +
+                   (hash_on_read ? " hash-on-read" : " log-consistent"));
+      db_.reset();
+      DbOptions opts = MakeOptions(FreshDir("regions"));
+      opts.compliance.hash_on_read = hash_on_read;
+      Open(opts);
+      LRegions r = GrowThreeRegions(MakeTable("acct"));
+      std::string log = ReadFileBytes(LogPath());
+      uint64_t hit = 0;
+      if (std::string(region) == "certified") {
+        hit = PayloadByteIn(log, 0, r.certified);
+      } else if (std::string(region) == "sealed") {
+        hit = PayloadByteIn(log, r.certified, r.sealed);
+      } else {
+        hit = PayloadByteIn(log, r.sealed, r.end);
+      }
+      ASSERT_GT(hit, 0u);
+      FlipByteAt(LogPath(), hit);
+      auto audit = db_->Audit(1);
+      ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+      EXPECT_FALSE(audit.value().ok()) << "L edit escaped the full audit";
+      EXPECT_FALSE(db_->worm()->Exists(SnapshotFileName(1)));
+    }
+  }
+}
+
+// An edited or truncated chain_<epoch> header is a finding of the full
+// audit; the rest of L is then replayed from the snapshot as the tail.
+TEST_F(IncrementalAuditTest, FullAuditReportsAnEditedOrTruncatedChain) {
+  for (bool truncate : {false, true}) {
+    SCOPED_TRACE(truncate ? "truncated" : "edited");
+    db_.reset();
+    Open(MakeOptions(FreshDir("chain")));
+    GrowThreeRegions(MakeTable("acct"));
+    const std::string chain = dir_ + "/worm/" + ChainFileName(0);
+    const uint64_t size = std::filesystem::file_size(chain);
+    if (truncate) {
+      std::filesystem::resize_file(chain, size - 5);
+    } else {
+      FlipByteAt(chain, size - 10);  // inside the last header's digest
+    }
+    auto audit = db_->Audit(1);
+    ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+    ASSERT_FALSE(audit.value().ok());
+    EXPECT_EQ(audit.value().problems[0].rfind("epoch chain: ", 0), 0u)
+        << audit.value().problems[0];
+  }
+}
+
+// The standalone cdb_audit binary on a closed serial-engine database
+// whose L has a sealed prefix and an unsealed tail: compliant (exit 0) as
+// written, tampering (exit 1) after one L payload byte in either region
+// is flipped, compliant again once the byte is flipped back.
+TEST_F(IncrementalAuditTest, CdbAuditExitCodesForSealedAndUnsealedEdits) {
+  Open(MakeOptions(FreshDir("cli")));
+  uint32_t t = MakeTable("acct");
+  for (int i = 0; i < 30; ++i) PutRow(t, Numbered("k", i), "v");
+  ASSERT_TRUE(db_->FlushAll().ok());
+  ASSERT_TRUE(db_->SealEpochNow().ok());
+  auto cs = db_->Certification();
+  ASSERT_TRUE(cs.ok());
+  const uint64_t sealed = cs.value().sealed_offset;
+  for (int i = 0; i < 20; ++i) PutRow(t, Numbered("tail", i), "v");
+  ASSERT_TRUE(db_->Close().ok());
+  db_.reset();
+
+  auto run_audit = [this]() {
+    const std::string cmd = std::string(CDB_AUDIT_BINARY) + " " + dir_ +
+                            " > /dev/null 2>&1";
+    int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  };
+  EXPECT_EQ(run_audit(), kAuditExitCompliant);
+  std::string log = ReadFileBytes(LogPath());
+  ASSERT_GT(log.size(), sealed);
+  for (uint64_t hit : {PayloadByteIn(log, 0, sealed),
+                       PayloadByteIn(log, sealed, log.size())}) {
+    SCOPED_TRACE(hit < sealed ? "sealed prefix" : "unsealed tail");
+    ASSERT_GT(hit, 0u);
+    FlipByteAt(LogPath(), hit);
+    EXPECT_EQ(run_audit(), kAuditExitTampered);
+    FlipByteAt(LogPath(), hit);
+    EXPECT_EQ(run_audit(), kAuditExitCompliant);
+  }
 }
 
 }  // namespace

@@ -7,10 +7,13 @@
 #include <memory>
 
 #include "db/compliant_db.h"
+#include "numbered.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 
@@ -138,11 +141,11 @@ TEST_F(IndexTest, RejectsNulInDerivedKey) {
 
 TEST_F(IndexTest, IndexedWritesPassAudit) {
   for (int i = 0; i < 40; ++i) {
-    PutCommitted("c" + std::to_string(i),
-                 (i % 3 == 0 ? "SMITH|" : "JONES|") + std::to_string(i));
+    PutCommitted(Numbered("c", i),
+                 Numbered(i % 3 == 0 ? "SMITH|" : "JONES|", i));
   }
   for (int i = 0; i < 40; i += 5) {
-    PutCommitted("c" + std::to_string(i), "TAYLOR|upd" + std::to_string(i));
+    PutCommitted(Numbered("c", i), Numbered("TAYLOR|upd", i));
   }
   auto report = db_->Audit();
   ASSERT_TRUE(report.ok());
@@ -169,7 +172,7 @@ TEST_F(IndexTest, TamperedIndexEntryFailsAudit) {
   // The index tree gets the same §IV-C protection as data trees: edit an
   // index entry on disk and the audit flags it.
   for (int i = 0; i < 30; ++i) {
-    PutCommitted("c" + std::to_string(i), "SMITH|" + std::to_string(i));
+    PutCommitted(Numbered("c", i), Numbered("SMITH|", i));
   }
   ASSERT_TRUE(db_->Close().ok());
   db_.reset();

@@ -7,10 +7,13 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "numbered.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 class LogManagerTest : public ::testing::Test {
  protected:
@@ -93,7 +96,7 @@ TEST_F(LogManagerTest, AppendAssignsMonotonicLsns) {
 TEST_F(LogManagerTest, ScanReturnsDurableRecordsInOrder) {
   for (int i = 0; i < 10; ++i) {
     WalRecord rec = MakeInsert(static_cast<TxnId>(i), static_cast<PageId>(i),
-                               "t" + std::to_string(i));
+                               Numbered("t", i));
     log_->Append(&rec);
   }
   ASSERT_TRUE(log_->FlushAll().ok());
@@ -101,7 +104,7 @@ TEST_F(LogManagerTest, ScanReturnsDurableRecordsInOrder) {
   ASSERT_EQ(records.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(records[i].txn_id, static_cast<TxnId>(i));
-    EXPECT_EQ(records[i].tuple, "t" + std::to_string(i));
+    EXPECT_EQ(records[i].tuple, Numbered("t", i));
   }
 }
 

@@ -7,10 +7,13 @@
 #include <memory>
 
 #include "db/compliant_db.h"
+#include "numbered.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 
@@ -28,8 +31,8 @@ class ReadOnlyTest : public ::testing::Test {
     for (int i = 0; i < 30; ++i) {
       auto txn = db_->Begin();
       ASSERT_TRUE(txn.ok());
-      ASSERT_TRUE(db_->Put(txn.value(), table_, "k" + std::to_string(i),
-                           "v" + std::to_string(i))
+      ASSERT_TRUE(db_->Put(txn.value(), table_, Numbered("k", i),
+                           Numbered("v", i))
                       .ok());
       ASSERT_TRUE(db_->Commit(txn.value()).ok());
     }
@@ -100,7 +103,7 @@ TEST_F(ReadOnlyTest, InspectionLeavesNoTrace) {
     db_.reset(r.value());
     std::string value;
     for (int i = 0; i < 30; ++i) {
-      ASSERT_TRUE(db_->Get(table_, "k" + std::to_string(i), &value).ok());
+      ASSERT_TRUE(db_->Get(table_, Numbered("k", i), &value).ok());
     }
     ASSERT_TRUE(db_->Close().ok());
     db_.reset();

@@ -10,10 +10,13 @@
 #include <memory>
 
 #include "db/compliant_db.h"
+#include "numbered.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 
@@ -66,7 +69,7 @@ TEST_F(RecoveryTest, RepeatedCrashesAreIdempotent) {
   ASSERT_TRUE(t.ok());
   uint32_t tid = t.value();
   for (int i = 0; i < 25; ++i) {
-    PutCommitted(tid, "k" + std::to_string(i), "v");
+    PutCommitted(tid, Numbered("k", i), "v");
   }
   // Crash three times in a row without doing anything between.
   for (int crash = 0; crash < 3; ++crash) {
@@ -76,7 +79,7 @@ TEST_F(RecoveryTest, RepeatedCrashesAreIdempotent) {
   }
   std::string value;
   for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE(db_->Get(tid, "k" + std::to_string(i), &value).ok()) << i;
+    ASSERT_TRUE(db_->Get(tid, Numbered("k", i), &value).ok()) << i;
   }
   ExpectAuditOk();
 }
@@ -132,7 +135,7 @@ TEST_F(RecoveryTest, AuditTruncatesWalAndRecoveryStillWorks) {
   ASSERT_TRUE(t.ok());
   uint32_t tid = t.value();
   for (int i = 0; i < 50; ++i) {
-    PutCommitted(tid, "pre" + std::to_string(i), "v");
+    PutCommitted(tid, Numbered("pre", i), "v");
   }
   uint64_t wal_before = std::filesystem::file_size(dir_ + "/txn.wal");
   ExpectAuditOk();
@@ -142,7 +145,7 @@ TEST_F(RecoveryTest, AuditTruncatesWalAndRecoveryStillWorks) {
 
   // Post-audit work, then crash: only the new records replay.
   for (int i = 0; i < 20; ++i) {
-    PutCommitted(tid, "post" + std::to_string(i), "v");
+    PutCommitted(tid, Numbered("post", i), "v");
   }
   db_.reset();
   Open();
@@ -175,7 +178,7 @@ TEST_F(RecoveryTest, CrashBetweenAuditsManyEpochs) {
   uint32_t tid = t.value();
   for (int epoch = 0; epoch < 4; ++epoch) {
     for (int i = 0; i < 15; ++i) {
-      PutCommitted(tid, "e" + std::to_string(epoch) + "k" + std::to_string(i),
+      PutCommitted(tid, Numbered(Numbered("e", epoch) + "k", i),
                    "v");
     }
     if (epoch % 2 == 0) {
@@ -226,7 +229,7 @@ TEST_F(RecoveryTest, CrashDuringHeavySplitsRecovers) {
   ASSERT_TRUE(t.ok());
   uint32_t tid = t.value();
   for (int i = 0; i < 600; ++i) {
-    PutCommitted(tid, "key" + std::to_string(i * 7919 % 100000),
+    PutCommitted(tid, Numbered("key", i * 7919 % 100000),
                  std::string(60, 'x'));
   }
   db_.reset();

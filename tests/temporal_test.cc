@@ -8,10 +8,13 @@
 #include <memory>
 
 #include "db/compliant_db.h"
+#include "numbered.h"
 #include "test_dir.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 constexpr uint64_t kDay = 24ull * 3600 * 1'000'000;
@@ -142,7 +145,7 @@ TEST_F(TemporalTest, AsOfAcrossWormMigration) {
   std::vector<uint64_t> commits;
   for (int i = 0; i < 120; ++i) {
     commits.push_back(PutAt(tid, "hot",
-                            "v" + std::to_string(i) + std::string(90, '.')));
+                            Numbered("v", i).append(90, '.')));
     clock_.AdvanceMicros(kMinute / 10);
   }
   ASSERT_TRUE(db_->FlushAll().ok());
@@ -152,7 +155,7 @@ TEST_F(TemporalTest, AsOfAcrossWormMigration) {
   std::string value;
   for (int i = 0; i < 120; i += 17) {
     ASSERT_TRUE(db_->GetAsOf(tid, "hot", commits[i], &value).ok()) << i;
-    EXPECT_EQ(value, "v" + std::to_string(i) + std::string(90, '.')) << i;
+    EXPECT_EQ(value, Numbered("v", i).append(90, '.')) << i;
   }
 }
 
@@ -187,7 +190,7 @@ TEST_F(TemporalTest, HistorySurvivesEpochsAndReopens) {
   uint32_t tid = t.value();
   std::vector<uint64_t> commits;
   for (int epoch = 0; epoch < 3; ++epoch) {
-    commits.push_back(PutAt(tid, "k", "epoch-" + std::to_string(epoch)));
+    commits.push_back(PutAt(tid, "k", Numbered("epoch-", epoch)));
     clock_.AdvanceMicros(kMinute);
     auto report = db_->Audit();
     ASSERT_TRUE(report.ok());
@@ -199,7 +202,7 @@ TEST_F(TemporalTest, HistorySurvivesEpochsAndReopens) {
   std::string value;
   for (int epoch = 0; epoch < 3; ++epoch) {
     ASSERT_TRUE(db_->GetAsOf(tid, "k", commits[epoch], &value).ok());
-    EXPECT_EQ(value, "epoch-" + std::to_string(epoch));
+    EXPECT_EQ(value, Numbered("epoch-", epoch));
   }
   std::vector<TupleData> history;
   ASSERT_TRUE(db_->GetHistory(tid, "k", &history).ok());

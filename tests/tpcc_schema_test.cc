@@ -40,7 +40,9 @@ TEST(TpccSchemaTest, CustomerRowRoundTrip) {
   row.w = 3;
   row.d = 7;
   row.last_name = "BARBARBAR";
-  row.credit = "BC";
+  // Assigned from a temporary: GCC 12 misreports assigning the literal
+  // as a read of uninitialized bytes (-Wmaybe-uninitialized).
+  row.credit = std::string("BC");
   row.balance_cents = -987654;
   row.ytd_payment_cents = 1000;
   row.payment_cnt = 17;

@@ -8,11 +8,14 @@
 
 #include "crypto/sha256.h"
 #include "db/compliant_db.h"
+#include "numbered.h"
 #include "test_dir.h"
 #include "tsb/tsb_policy.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 constexpr uint64_t kDay = 24ull * 3600 * 1'000'000;
@@ -26,7 +29,7 @@ Page MakeLeafWithKeys(const std::vector<std::string>& keys) {
   for (const auto& k : keys) {
     TupleData t;
     t.key = k;
-    t.value = "v";
+    t.value.assign(1, 'v');  // not `= "v"`: GCC 12 false -Wrestrict
     t.start = start++;
     t.stamped = true;
     t.order_no = p.TakeOrderNumber();
@@ -48,7 +51,7 @@ TEST(TimeSplitPolicyTest, SkewedPageTimeSplits) {
 
 TEST(TimeSplitPolicyTest, UniformPageKeySplits) {
   std::vector<std::string> keys;
-  for (int i = 0; i < 20; ++i) keys.push_back("key" + std::to_string(i));
+  for (int i = 0; i < 20; ++i) keys.push_back(Numbered("key", i));
   std::sort(keys.begin(), keys.end());
   Page p = MakeLeafWithKeys(keys);
   TimeSplitPolicy policy(0.5);
@@ -59,8 +62,8 @@ TEST(TimeSplitPolicyTest, ThresholdBoundary) {
   // 10 distinct / 20 total = 0.5 exactly: not < threshold -> key split.
   std::vector<std::string> keys;
   for (int i = 0; i < 10; ++i) {
-    keys.push_back("key" + std::to_string(i));
-    keys.push_back("key" + std::to_string(i));
+    keys.push_back(Numbered("key", i));
+    keys.push_back(Numbered("key", i));
   }
   std::sort(keys.begin(), keys.end());
   Page p = MakeLeafWithKeys(keys);
@@ -124,8 +127,8 @@ TEST_F(TsbVacuumTest, HotKeyUpdatesMigrateToWorm) {
   // distinct keys -> time splits.
   for (int round = 0; round < 100; ++round) {
     for (int k = 0; k < 4; ++k) {
-      PutCommitted(table.value(), "hot" + std::to_string(k),
-                   "qty" + std::to_string(round));
+      PutCommitted(table.value(), Numbered("hot", k),
+                   Numbered("qty", round));
     }
   }
   ASSERT_TRUE(db_->FlushAll().ok());
@@ -158,7 +161,7 @@ TEST_F(TsbVacuumTest, MigratedHistorySurvivesReopenAndNextEpoch) {
   ASSERT_TRUE(table.ok());
   uint32_t tid = table.value();
   for (int round = 0; round < 100; ++round) {
-    PutCommitted(tid, "hot", "v" + std::to_string(round));
+    PutCommitted(tid, "hot", Numbered("v", round));
   }
   uint64_t t_mid = 0;
   {
@@ -196,7 +199,7 @@ TEST_F(TsbVacuumTest, ThresholdSweepShapesLiveAndHistoricCounts) {
     ASSERT_TRUE(table.ok());
     for (int round = 0; round < 60; ++round) {
       for (int k = 0; k < 12; ++k) {
-        PutCommitted(table.value(), "key" + std::to_string(k), "v");
+        PutCommitted(table.value(), Numbered("key", k), "v");
       }
     }
     ASSERT_TRUE(db_->FlushAll().ok());
@@ -416,8 +419,7 @@ TEST_F(TsbVacuumTest, MigratedHistoryShreddedWholeFile) {
   ASSERT_TRUE(db_->SetRetention(tid, 30 * kDay).ok());
 
   for (int round = 0; round < 120; ++round) {
-    PutCommitted(tid, "hot", "v" + std::to_string(round) +
-                                 std::string(80, '.'));
+    PutCommitted(tid, "hot", Numbered("v", round).append(80, '.'));
     clock_.AdvanceMicros(kMinute / 4);
   }
   ASSERT_TRUE(db_->FlushAll().ok());
@@ -458,8 +460,7 @@ TEST_F(TsbVacuumTest, HistoricalShredsSurviveCrashBeforeAudit) {
   uint32_t tid = table.value();
   ASSERT_TRUE(db_->SetRetention(tid, kDay).ok());
   for (int round = 0; round < 120; ++round) {
-    PutCommitted(tid, "hot", "v" + std::to_string(round) +
-                                 std::string(80, '.'));
+    PutCommitted(tid, "hot", Numbered("v", round).append(80, '.'));
     clock_.AdvanceMicros(kMinute / 4);
   }
   ASSERT_TRUE(db_->FlushAll().ok());

@@ -25,12 +25,15 @@
 #include "audit/epoch_chain.h"
 #include "compliance/compliance_log.h"
 #include "db/compliant_db.h"
+#include "numbered.h"
 #include "test_dir.h"
 #include "tpcc/workload.h"
 #include "txn/slot_scheduler.h"
 
 namespace complydb {
 namespace {
+
+using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
 constexpr uint64_t kHugeWindow = 10ull * kMinute;
@@ -119,7 +122,7 @@ TEST_F(WritePipelineTest, LogBytesIdenticalAcrossWriteThreads) {
   tpcc::MixStats stats[3];
   for (int i = 0; i < 3; ++i) {
     uint32_t wt = kThreads[i];
-    std::string dir = FreshDir("det_wt" + std::to_string(wt));
+    std::string dir = FreshDir(Numbered("det_wt", wt));
     clock_ = std::make_unique<SimulatedClock>();  // identical stamps per run
     auto db = Open(MakeOptions(dir, wt));
     ASSERT_NE(db, nullptr);
@@ -173,7 +176,7 @@ TEST_F(WritePipelineTest, SealedChainBytesIdenticalAcrossWriteThreads) {
   std::string chains[3];
   for (int i = 0; i < 3; ++i) {
     uint32_t wt = kThreads[i];
-    std::string dir = FreshDir("chain_wt" + std::to_string(wt));
+    std::string dir = FreshDir(Numbered("chain_wt", wt));
     clock_ = std::make_unique<SimulatedClock>();
     DbOptions opts = MakeOptions(dir, wt);
     // No mid-run seals: the leader's threshold is never reached, so the
@@ -301,7 +304,7 @@ TEST_F(WritePipelineTest, ImplicitSlotsSerializeBareTransactions) {
       for (int i = 0; i < kTxnsPerThread; ++i) {
         auto txn = db->Begin();
         if (!txn.ok()) { ++failures; return; }
-        std::string key = "t" + std::to_string(t) + "-k" + std::to_string(i);
+        std::string key = Numbered(Numbered("t", t) + "-k", i);
         if (!db->Put(txn.value(), table.value(), key, "v").ok() ||
             !db->Commit(txn.value()).ok()) {
           ++failures;
@@ -412,8 +415,7 @@ TEST_F(WritePipelineTest, CrashMidEpochRecoversAndAuditsClean) {
           auto txn = db->Begin();
           ASSERT_TRUE(txn.ok());
           ASSERT_TRUE(db->Put(txn.value(), table,
-                              "w" + std::to_string(w) + "-" +
-                                  std::to_string(i * 7919 % 400),
+                              Numbered(Numbered("w", w) + "-", i * 7919 % 400),
                               std::string(120, 'c'))
                           .ok());
           ASSERT_TRUE(db->Commit(txn.value()).ok());
@@ -428,7 +430,7 @@ TEST_F(WritePipelineTest, CrashMidEpochRecoversAndAuditsClean) {
   ASSERT_NE(db, nullptr);
   EXPECT_TRUE(db->recovered_from_crash());
   std::string value;
-  EXPECT_TRUE(db->Get(table, "w2-" + std::to_string(12 * 7919 % 400), &value)
+  EXPECT_TRUE(db->Get(table, Numbered("w2-", 12 * 7919 % 400), &value)
                   .ok());
   // The recovered database keeps committing through the pipeline.
   auto txn = db->Begin();

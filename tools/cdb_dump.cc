@@ -34,6 +34,9 @@ const char* CRecordName(CRecordType type) {
     case CRecordType::kHeartbeat: return "HEARTBEAT";
     case CRecordType::kStampPage: return "STAMP_PAGE";
     case CRecordType::kNewTree: return "NEW_TREE";
+    case CRecordType::kIndexAdd: return "INDEX_ADD";
+    case CRecordType::kIndexRemove: return "INDEX_REMOVE";
+    case CRecordType::kReadHashIndex: return "READ_INDEX";
   }
   return "?";
 }
