@@ -10,7 +10,7 @@
 //
 // With --commit-path the binary instead runs the commit-latency A/B sweep:
 // the same NewOrder stream against synchronous compliance shipping (one
-// WORM fflush per hook) and the asynchronous group-commit shipper, and
+// WORM fflush per hook) and asynchronous group-commit shipping, and
 // writes BENCH_commit_path.json with both db.commit_us histograms. The
 // sync block is the stored baseline (bench/baselines/
 // BENCH_commit_path.sync-seed.json).
@@ -146,23 +146,19 @@ int RunCommitPath(bool async, uint64_t txns, CommitPathResult* out) {
   tpcc::Scale scale;
   scale.warehouses = 1;
   // Hash-page-on-read (§V): every cache-miss read appends a READ_HASH
-  // record. Sync shipping pays one WORM fflush per record; the async
-  // shipper defers them to the next barrier, so the A/B isolates exactly
-  // the flush traffic group commit removes. The 100 us flush latency
-  // models the round trip to the paper's network WORM filer (same class
-  // of cost as the 120 us page-I/O latency in the Fig. 3 configs); on
-  // local storage an fflush is nearly free and there is nothing for
-  // group commit to amortize. The 10 ms group-commit window is tuned to
-  // that round trip: commits arrive far more often than the window
-  // expires, so every drain is an inline barrier steal and the shipper
-  // never holds the store mid-flush when a commit lands.
+  // record. Sync shipping pays one WORM fflush per record; async shipping
+  // defers them to the next barrier, so the A/B isolates exactly the
+  // flush traffic group commit removes. The 100 us flush latency models
+  // the round trip to the paper's network WORM filer (same class of cost
+  // as the 120 us page-I/O latency in the Fig. 3 configs); on local
+  // storage an fflush is nearly free and there is nothing for group
+  // commit to amortize.
   auto env = TpccEnv::Create(BenchDir("commit_path"),
                              Mode::kLogConsistentHashOnRead,
                              /*cache_pages=*/192, scale, /*seed=*/1234,
                              /*tsb=*/false, /*tsb_threshold=*/0.5,
                              /*io_latency_micros=*/0, async,
-                             /*worm_flush_latency_micros=*/100,
-                             /*group_commit_window_micros=*/10000);
+                             /*worm_flush_latency_micros=*/100);
   if (!env.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
                  env.status().ToString().c_str());
@@ -492,9 +488,8 @@ int RunWriteScalingPoint(uint32_t write_threads, bool scheduler_on,
   // page *read*, free writes) puts the cost where the scheduler can
   // overlap it — execute-phase reads. Writes replay serially inside the
   // turnstile either way, so pricing them would only add a fixed serial
-  // term to every arm. The 0.5 ms WORM flush and 10 ms group-commit window
-  // keep the epoch barrier the other amortized cost, as in the original
-  // pipeline sweep. --cross-rate (basis points of cross-warehouse
+  // term to every arm. The 0.5 ms WORM flush keeps the epoch barrier the
+  // other amortized cost, as in the original pipeline sweep. --cross-rate (basis points of cross-warehouse
   // NewOrder items / remote Payments) dials footprint fallbacks from
   // none (0) to every-slot (10000): fallback slots admit exclusively, so
   // the A/B gain decays toward 1.0 as the rate rises.
@@ -503,8 +498,7 @@ int RunWriteScalingPoint(uint32_t write_threads, bool scheduler_on,
       /*cache_pages=*/192, scale, /*seed=*/1234,
       /*tsb=*/false, /*tsb_threshold=*/0.5,
       /*io_latency_micros=*/0, /*async_shipping=*/true,
-      /*worm_flush_latency_micros=*/500,
-      /*group_commit_window_micros=*/10000, write_threads,
+      /*worm_flush_latency_micros=*/500, write_threads,
       [scheduler_on](DbOptions* options) {
         options->io_read_latency_micros = 500;
         options->slot_scheduler = scheduler_on;
@@ -651,8 +645,7 @@ int RunWriteScalingSweep(uint64_t slots, int64_t cross_bp) {
                      ",\"cross_rate_bp\":" + std::to_string(cross_bp) +
                      ",\"warehouses\":8,\"cache_pages\":192,"
                      "\"io_read_latency_micros\":500,"
-                     "\"worm_flush_latency_micros\":500,"
-                     "\"group_commit_window_micros\":10000,\"sweep\":[";
+                     "\"worm_flush_latency_micros\":500,\"sweep\":[";
   for (size_t i = 0; i < sweep.size(); ++i) {
     const WriteScalingResult& r = sweep[i];
     char buf[768];

@@ -238,6 +238,7 @@ Status AuditCursor::AttachInternal(uint64_t audit_epoch,
   problems_.clear();
   records_applied_ = 0;
   spent_ = false;
+  stopped_at_.reset();
   PageReplayer::Options ropts;
   ropts.verify = true;
   ropts.verify_read_hashes = opts_.verify_read_hashes;
@@ -312,7 +313,8 @@ Status AuditCursor::ApplyWindow(const std::string& blob, uint64_t base,
   std::vector<CRecord> recs;
   std::vector<uint64_t> offsets;  // L offsets
   Status ds;
-  for (size_t off = 0; off < blob.size();) {
+  size_t off = 0;
+  while (off < blob.size()) {
     CRecord rec;
     size_t consumed = 0;
     ds = CRecord::Decode(Slice(blob.data() + off, blob.size() - off), &rec,
@@ -326,6 +328,7 @@ Status AuditCursor::ApplyWindow(const std::string& blob, uint64_t base,
     ReportFinding(tag + ": " + ds.ToString(), rep);
     return Status::Tampered(tag);
   }
+  if (!ds.ok()) stopped_at_ = base + off;
   // Window summary folds into the cumulative one *before* replay — UNDO
   // justification inside the window may reference this window's ABORT.
   for (size_t i = 0; i < recs.size(); ++i) {
@@ -507,6 +510,7 @@ Result<IncrementalAuditReport> AuditCursor::ReplayTail(uint32_t num_threads) {
     Status rs = worm_->ReadAt(LogFileName(epoch_), certified_offset_,
                               info.value().size - certified_offset_, &blob);
     if (rs.IsTampered()) {
+      stopped_at_ = certified_offset_;
       AddProblem(tag + ": " + rs.ToString(), &rep);
     } else if (!rs.ok()) {
       return rs;

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,10 @@ class AuditCursor {
   const PageReplayer& state() const { return state_; }
   const LogSummary& summary() const { return summary_; }
   uint64_t records_applied() const { return records_applied_; }
+  /// L offset where ReplayTail stopped short of the end of L (an
+  /// undecodable record, an unreadable tail), or nullopt when it did not.
+  /// Nothing past it reached summary().
+  std::optional<uint64_t> stopped_at() const { return stopped_at_; }
 
   /// Deterministic digest of the replayed state (pages, index pages,
   /// tree roots): the incremental-vs-full equivalence witness.
@@ -203,6 +208,7 @@ class AuditCursor {
   std::vector<std::string> problems_;  // cumulative, in L order
   uint64_t records_applied_ = 0;
   bool spent_ = false;  // ReplayTail ran: the state is past the chain
+  std::optional<uint64_t> stopped_at_;
 };
 
 }  // namespace complydb

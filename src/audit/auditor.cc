@@ -226,10 +226,18 @@ Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot,
   }
 
   // Cross-check the auxiliary stamp index against the STAMP_TRANS records.
+  // Entries for records past the point where the L pass stopped have
+  // nothing to be checked against; they are one finding, not one each.
   {
     ComplianceLog log(worm_, epoch);  // reads only the stamp index
+    const std::optional<uint64_t> stop = cursor->stopped_at();
+    uint64_t unchecked = 0;
     Status s = log.ScanStampIndex(
-        [&](TxnId txn, uint64_t, uint64_t commit) -> Status {
+        [&](TxnId txn, uint64_t l_offset, uint64_t commit) -> Status {
+          if (stop.has_value() && l_offset >= *stop) {
+            ++unchecked;
+            return Status::OK();
+          }
           auto it = summary.stamps.find(txn);
           if (it == summary.stamps.end() || it->second != commit) {
             problem("stamp index entry for txn " + std::to_string(txn) +
@@ -238,6 +246,11 @@ Result<AuditReport> Auditor::Audit(uint64_t epoch, bool write_snapshot,
           return Status::OK();
         });
     if (!s.ok()) problem("stamp index: " + s.ToString());
+    if (unchecked > 0) {
+      problem("stamp index: " + std::to_string(unchecked) +
+              " entries past L offset " + std::to_string(*stop) +
+              " unchecked (replay stopped there)");
+    }
   }
   report.timings.summarize_seconds = certify_seconds + SecondsSince(t0);
   RecordPhase(obs::AuditPhase::kSummarize, Am().summarize_us,

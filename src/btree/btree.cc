@@ -85,9 +85,12 @@ uint16_t LeafLowerBound(const Page& leaf, Slice key, uint64_t start) {
 }
 
 uint16_t InternalFindChild(const Page& node, Slice key, uint64_t start) {
-  uint16_t lo = 0;
+  // Entry 0 is -infinity: its key is whatever the leftmost child held when
+  // the node was created, and keys below it still route there. Search
+  // entries 1..n-1 for the first separator > probe; the answer is the one
+  // before it.
+  uint16_t lo = 1;
   uint16_t hi = node.slot_count();
-  // First entry with separator > probe; answer is the one before it.
   while (lo < hi) {
     uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
     Slice mk;
@@ -102,7 +105,7 @@ uint16_t InternalFindChild(const Page& node, Slice key, uint64_t start) {
       hi = mid;
     }
   }
-  return lo > 0 ? static_cast<uint16_t>(lo - 1) : 0;
+  return static_cast<uint16_t>(lo - 1);
 }
 
 Result<PageId> Btree::Create(BufferCache* cache, uint32_t tree_id,
@@ -360,18 +363,14 @@ Status Btree::InsertSeparator(size_t target_level, const IndexEntry& sep) {
         env_.cache->FetchPage(pgno, &page, PageLatchMode::kExclusive));
 
     if (page->FreeSpace() >= rec.size()) {
-      // Insert position: after the last entry <= sep.
-      uint16_t idx = InternalFindChild(*page, sep.key, sep.start);
-      uint16_t pos = page->slot_count() == 0 ? 0 : static_cast<uint16_t>(idx + 1);
-      // Probe may sort before the first entry.
-      if (page->slot_count() > 0) {
-        Slice k0;
-        uint64_t s0;
-        PageId c0;
-        CDB_RETURN_IF_ERROR(
-            DecodeIndexEntryKey(page->RecordAt(0), &k0, &s0, &c0));
-        if (CompareVersion(sep.key, sep.start, k0, s0) < 0) pos = 0;
-      }
+      // Insert position: right after the child that held the split page.
+      // Entry 0 is -infinity, so a separator below its stale key still
+      // goes after it, never before.
+      uint16_t pos =
+          page->slot_count() == 0
+              ? 0
+              : static_cast<uint16_t>(
+                    InternalFindChild(*page, sep.key, sep.start) + 1);
       Status st = page->InsertRecord(pos, rec);
       if (!st.ok()) {
         env_.cache->Unpin(pgno, false, PageLatchMode::kExclusive);

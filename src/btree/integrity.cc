@@ -101,7 +101,9 @@ struct Walker {
         Problem(pgno, "entry " + std::to_string(i) + ": " + ds.ToString());
         continue;
       }
-      if (i > 0 && CompareVersion(prev_sep_key, prev_sep_start, e.key,
+      // Entry 0 is -infinity (see InternalFindChild): its stored key is
+      // not compared against entry 1.
+      if (i > 1 && CompareVersion(prev_sep_key, prev_sep_start, e.key,
                                   e.start) >= 0) {
         Problem(pgno, "entry " + std::to_string(i) +
                           ": separators out of order");

@@ -29,14 +29,6 @@ ComplianceMetrics& Cm() {
 }
 }  // namespace
 
-ComplianceLogOptions ComplianceLogger::LogOptions() const {
-  ComplianceLogOptions o;
-  o.async = options_.async_shipping;
-  o.group_commit_window_micros = options_.group_commit_window_micros;
-  o.repair_stamp_index = options_.repair_stamp_index;
-  return o;
-}
-
 Status ComplianceLogger::MaybeSyncFlush() {
   if (log_ == nullptr) return Status::OK();
   if (options_.async_shipping) return Status::OK();
@@ -52,7 +44,8 @@ Status ComplianceLogger::FlushLog() {
 Status ComplianceLogger::StartFreshEpoch(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled) return Status::OK();
-  log_ = std::make_unique<ComplianceLog>(worm_, epoch, LogOptions());
+  log_ = std::make_unique<ComplianceLog>(worm_, epoch,
+                                         options_.repair_stamp_index);
   CDB_RETURN_IF_ERROR(log_->Create());
   baseline_.clear();
   index_baseline_.clear();
@@ -69,20 +62,16 @@ Status ComplianceLogger::StartFreshEpoch(uint64_t epoch) {
 }
 
 Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
-                                       const Snapshot* snapshot) {
+                                       const Snapshot* snapshot,
+                                       std::vector<ShredRecord>* shreds) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled) return Status::OK();
-  log_ = std::make_unique<ComplianceLog>(worm_, epoch, LogOptions());
-  CDB_RETURN_IF_ERROR(log_->OpenExisting());
-
   // Rebuild the diff baseline as replay(snapshot, L): this is the page
   // content the log already accounts for, which after crash recovery can
   // be ahead of the on-disk images (logged splits whose pages never
   // flushed) — diffing against disk would emit unjustified UNDOs.
-  std::string log_blob;
-  CDB_RETURN_IF_ERROR(worm_->ReadAll(LogFileName(epoch), &log_blob));
-  // Rebuilding (not verifying) consults no transaction outcomes, so one
-  // scan both replays L and summarizes it.
+  // Rebuilding (not verifying) consults no transaction outcomes, so the
+  // log's one open scan both replays L and summarizes it.
   LogSummary summary;
   PageReplayer replayer(PageReplayer::Options{}, nullptr);
   if (snapshot != nullptr) {
@@ -93,8 +82,10 @@ Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
       replayer.SeedIndexPage(page.tree_id, page.pgno, page.records);
     }
   }
+  log_ = std::make_unique<ComplianceLog>(worm_, epoch,
+                                         options_.repair_stamp_index);
   CDB_RETURN_IF_ERROR(
-      ScanCRecords(log_blob, [&](const CRecord& rec, uint64_t offset) {
+      log_->OpenExisting([&](const CRecord& rec, uint64_t offset) {
         SummarizeRecord(rec, offset, &summary);
         return replayer.Apply(rec, offset);
       }));
@@ -112,8 +103,9 @@ Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
     index_baseline_[key.second] = state;
     NoteCached(key.second, /*is_index=*/true, /*disk_synced=*/false);
   }
-  stamps_on_log_ = summary.stamps;
-  aborts_on_log_ = summary.aborts;
+  stamps_on_log_ = std::move(summary.stamps);
+  aborts_on_log_ = std::move(summary.aborts);
+  if (shreds != nullptr) *shreds = std::move(summary.shreds);
   uint64_t now = clock_->NowMicros();
   last_stamp_activity_ = now;
   last_witness_time_ = now;
@@ -374,7 +366,7 @@ Status ComplianceLogger::OnPageRead(PageId pgno, const Page& image) {
     baseline_[pgno] = std::move(state);
     NoteCached(pgno, /*is_index=*/false, /*disk_synced=*/true);
   }
-  // Async: read-hash records ride the ring; they are durable by the next
+  // Async: read-hash records wait in the tail; they are durable by the next
   // commit/tick barrier, within the regret-window guarantee the auditor
   // checks.
   return MaybeSyncFlush();
@@ -561,8 +553,8 @@ Status ComplianceLogger::OnCommit(TxnId txn_id, uint64_t commit_time) {
   last_stamp_activity_ = clock_->NowMicros();
   // Barrier (2): the commit may not return until its STAMP_TRANS — and,
   // FIFO, everything before it — is durable on WORM. In async mode this
-  // is the group-commit rendezvous: concurrent appends accumulated since
-  // the last drain share the shipper's single fflush.
+  // is the group-commit rendezvous: every record appended since the last
+  // drain shares its single fflush.
   return log_->Flush();
 }
 

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "btree/structure_observer.h"
 #include "common/clock.h"
@@ -45,22 +46,17 @@ struct ComplianceOptions {
   /// resurrect stale state.
   size_t max_cached_pages = 0;
 
-  /// Asynchronous log shipping: records are appended to an in-memory
-  /// ring drained by a dedicated shipper thread, and durability is
-  /// enforced at two WAL-style barriers (the pwrite barrier and the
-  /// commit/tick/shred full flush) instead of at every hook. The bytes
-  /// on WORM are identical to sync mode; only their flush timing moves.
+  /// The logger's flush policy. Records always go to the compliance
+  /// log's in-memory tail; sync mode flushes it at every hook, async mode
+  /// only at two WAL-style barriers (the per-page pwrite barrier and the
+  /// commit/tick/shred full flush), so many records share one fflush. The
+  /// bytes on WORM are identical; only their flush timing moves.
   /// Overridable at open via the COMPLYDB_COMPLIANCE_ASYNC env variable.
   bool async_shipping = false;
 
-  /// Group-commit window for the shipper (microseconds of real time the
-  /// shipper waits for more records before paying an fflush nobody is
-  /// stalled on). Only meaningful with async_shipping.
-  uint64_t group_commit_window_micros = 200;
-
   /// Rebuild a missing stamp-index tail from L on reattach (see
-  /// ComplianceLogOptions::repair_stamp_index). Disabled for read-only
-  /// opens, which must not write to WORM.
+  /// ComplianceLog). Disabled for read-only opens, which must not write
+  /// to WORM.
   bool repair_stamp_index = true;
 };
 
@@ -88,8 +84,11 @@ class ComplianceLogger : public IoHook,
 
   /// Re-attaches to an in-progress epoch after restart: replays
   /// snapshot_<epoch> + L_<epoch> to rebuild the page baselines, so
-  /// post-recovery diffs are computed against log-consistent state.
-  Status AttachToEpoch(uint64_t epoch, const Snapshot* snapshot);
+  /// post-recovery diffs are computed against log-consistent state. This
+  /// is the open's only read of L; `shreds`, when set, receives L's
+  /// SHREDDED records for the facade's own reopen work.
+  Status AttachToEpoch(uint64_t epoch, const Snapshot* snapshot,
+                       std::vector<ShredRecord>* shreds = nullptr);
 
   ComplianceLog* log() { return log_.get(); }
   uint64_t epoch() const { return log_ == nullptr ? 0 : log_->epoch(); }
@@ -135,9 +134,8 @@ class ComplianceLogger : public IoHook,
   Result<uint64_t> OnCommitQueued(TxnId txn_id, uint64_t commit_time) override;
 
   /// Epoch durability barrier: blocks until L is durable through
-  /// `offset`. Deliberately takes no logger mutex — in async-shipping
-  /// mode (the only mode the pipeline runs in) this lands on the
-  /// shipper's internally synchronized, coalescing FlushThrough, so
+  /// `offset`. Deliberately takes no logger mutex — the compliance log's
+  /// FlushThrough is internally synchronized and coalescing, so
   /// commit-path hooks from subsequent slots keep appending meanwhile.
   Status WaitCommitDurable(uint64_t offset);
   Status OnStartRecovery() override;
@@ -187,7 +185,6 @@ class ComplianceLogger : public IoHook,
                        const IndexState& old_state,
                        const IndexState& new_state);
 
-  ComplianceLogOptions LogOptions() const;
   /// Sync mode: flush inline (the classic per-hook durability point).
   /// Async mode: no-op — durability is deferred to the barriers.
   Status MaybeSyncFlush();

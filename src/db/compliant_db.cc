@@ -144,17 +144,19 @@ Status CompliantDB::Init() {
     options_.compliance.async_shipping = env[0] != '0' && env[0] != '\0';
   }
   if (options_.read_only) {
-    // A read-only facade must not spawn a writer thread nor repair the
-    // stamp index (both write to WORM).
+    // A read-only facade appends nothing, so it reports the sync policy,
+    // and it must not repair the stamp index (that writes to WORM).
     options_.compliance.async_shipping = false;
     options_.compliance.repair_stamp_index = false;
   }
 
   // Multi-writer commit pipeline (DESIGN.md, "The epoch/sequencer commit
-  // pipeline"). Resolved before the logger exists because the pipeline's
-  // epoch barrier requires the async shipper: the sync-mode FlushThrough
-  // mutates logger state without the logger mutex, and per-hook sync
-  // flushes would re-serialize the slots anyway.
+  // pipeline"). Resolved before the logger exists because a pipeline
+  // forces the async flush policy. Both policies are safe under the
+  // pipeline (the log's tail is internally synchronized), but the epoch
+  // barrier is the pipeline's group commit: per-hook sync flushes would
+  // add a WORM round trip per hook inside the turnstile, and the
+  // benchmark's multi-writer configuration is pinned to "async".
   write_threads_ = options_.write_threads == 0 ? 1 : options_.write_threads;
   if (const char* env = std::getenv("COMPLYDB_WRITE_THREADS")) {
     char* end = nullptr;
@@ -181,6 +183,7 @@ Status CompliantDB::Init() {
                                                worm_.get(), disk_.get(),
                                                clock_);
   std::unique_ptr<Snapshot> snapshot;
+  std::vector<ShredRecord> shreds;  // L's SHREDDED records, from the attach
   if (options_.compliance.enabled) {
     uint64_t max_epoch = 0;
     bool found = false;
@@ -201,7 +204,8 @@ Status CompliantDB::Init() {
         snapshot = std::make_unique<Snapshot>(snap.TakeValue());
         last_audit_time_ = snapshot->audit_time;
       }
-      CDB_RETURN_IF_ERROR(logger_->AttachToEpoch(epoch_, snapshot.get()));
+      CDB_RETURN_IF_ERROR(
+          logger_->AttachToEpoch(epoch_, snapshot.get(), &shreds));
     }
   }
 
@@ -221,7 +225,7 @@ Status CompliantDB::Init() {
     if (options_.compliance.enabled) {
       // One durability barrier per epoch: flush the deferred WAL tail
       // mirror (one WORM round trip for the whole epoch's commits), then
-      // wait the epoch's compliance records durable through the shipper.
+      // wait the epoch's compliance records durable on WORM.
       // The local WAL fflush already happened per-commit at sequencing.
       ComplianceLogger* logger = logger_.get();
       LogManager* wal = wal_.get();
@@ -245,11 +249,12 @@ Status CompliantDB::Init() {
     txns_->SetPipeline(pipeline_.get());
   }
 
-  // Epoch sealing (DESIGN.md, "Incremental certification"): every durable
-  // commit epoch extends the hash chain on WORM, making it an audit unit.
-  // A pre-existing chain that fails verification disables sealing for
-  // this run rather than blocking the open — the auditor owns the tamper
-  // verdict, and a database that cannot open cannot be audited online.
+  // Epoch sealing (DESIGN.md, "Incremental certification"): the regret
+  // tick seals L's durable prefix into the hash chain on WORM, making it
+  // an audit unit. A pre-existing chain that fails verification disables
+  // sealing for this run rather than blocking the open — the auditor owns
+  // the tamper verdict, and a database that cannot open cannot be
+  // audited online.
   if (options_.compliance.enabled && !options_.read_only) {
     sealer_ = std::make_unique<EpochSealer>(worm_.get());
     Status attach = sealer_->Attach(epoch_);
@@ -257,23 +262,6 @@ Status CompliantDB::Init() {
       std::fprintf(stderr, "complydb: epoch sealing disabled: %s\n",
                    attach.ToString().c_str());
       sealer_.reset();
-    } else if (pipeline_ != nullptr) {
-      // The epoch leader seals right after its durability barrier, outside
-      // every pipeline lock. The hook must never fail the commit: a seal
-      // error only delays certification, and the next barrier retries.
-      EpochSealer* sealer = sealer_.get();
-      const uint64_t min_bytes = options_.seal_min_bytes;
-      pipeline_->set_seal_fn([sealer, min_bytes](uint64_t offset) {
-        if (min_bytes != 0 &&
-            offset < sealer->sealed_offset() + min_bytes) {
-          return;
-        }
-        Status seal = sealer->SealThrough(offset);
-        if (!seal.ok()) {
-          std::fprintf(stderr, "complydb: epoch seal failed: %s\n",
-                       seal.ToString().c_str());
-        }
-      });
     }
   }
 
@@ -281,15 +269,10 @@ Status CompliantDB::Init() {
   CDB_RETURN_IF_ERROR(hist_->LoadAll());
   // Historical files shredded this epoch (their WORM deletion waits for
   // the next audit) must not resurface in the temporal index.
-  if (options_.compliance.enabled && logger_->log() != nullptr) {
-    CDB_RETURN_IF_ERROR(
-        logger_->log()->Scan([&](const CRecord& rec, uint64_t) -> Status {
-          if (rec.type == CRecordType::kShredded && !rec.name.empty()) {
-            Status s = hist_->DropFile(rec.name);
-            if (!s.ok() && !s.IsNotFound()) return s;
-          }
-          return Status::OK();
-        }));
+  for (const ShredRecord& shred : shreds) {
+    if (shred.hist_name.empty()) continue;
+    Status s = hist_->DropFile(shred.hist_name);
+    if (!s.ok() && !s.IsNotFound()) return s;
   }
   if (options_.tsb_enabled) {
     split_policy_ =
@@ -354,7 +337,7 @@ Status CompliantDB::Init() {
                           txns_->last_commit_time() + 1);
         },
         nullptr);
-    auto r = rechecker.Recheck(logger_->log(), trees);
+    auto r = rechecker.Recheck(shreds, trees);
     if (!r.ok()) return r.status();
   }
 
@@ -413,8 +396,8 @@ Status CompliantDB::Init() {
       }
     }
     CDB_RETURN_IF_ERROR(RotateTxTail());
-    // Open is a full-flush point: attach-time page reads may have queued
-    // READ_HASH records with the async shipper, and external auditors read
+    // Open is a full-flush point: attach-time page reads may have left
+    // READ_HASH records in the log's tail, and external auditors read
     // L straight off the WORM store the moment Open returns.
     CDB_RETURN_IF_ERROR(logger_->FlushLog());
   }
@@ -801,10 +784,10 @@ Status CompliantDB::Commit(Transaction* txn) {
   }
   // End-to-end commit latency as the client sees it: WAL flush, the
   // compliance barrier, background stamping, and any regret tick that
-  // fires on this call — the tail the async shipper exists to shorten.
+  // fires on this call — the tail async shipping exists to shorten.
   obs::ScopedLatencyTimer timer(Dm().commit_us);
-  // Covers the same window as the timer and decomposes it: the shipper
-  // and WORM layers attribute their intervals to this thread's slot, and
+  // Covers the same window as the timer and decomposes it: the compliance
+  // log and WORM layers attribute their intervals to this thread's slot, and
   // the close emits the commit span plus its foreground/queued/drain/
   // worm_flush segments (docs/OBSERVABILITY.md, "Spans").
   obs::ScopedCommitSpan span(txn != nullptr ? txn->id() : 0);
@@ -1068,12 +1051,10 @@ Status CompliantDB::MaybeRegretTick() {
   if (options_.compliance.enabled) {
     CDB_RETURN_IF_ERROR(logger_->Tick(now));
     CDB_RETURN_IF_ERROR(RotateTxTail());
-    // The serial engine has no epoch leader, so the regret tick doubles
-    // as its seal point: the chain keeps pace with the regret window.
-    // (With a pipeline the leader already seals per durability barrier.)
-    if (sealer_ != nullptr && pipeline_ == nullptr) {
-      CDB_RETURN_IF_ERROR(SealEpochNow());
-    }
+    // The regret tick is the one seal point: the chain keeps pace with the
+    // regret window. It runs inside the writer's slot, so the sealed
+    // offsets are the same at any writer count.
+    if (sealer_ != nullptr) CDB_RETURN_IF_ERROR(SealEpochNow());
   }
   span.set_arg(disk_->writes() - writes_before);
   return Status::OK();

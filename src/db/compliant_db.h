@@ -107,13 +107,6 @@ struct DbOptions {
   /// thread count.
   uint32_t audit_threads = 1;
 
-  /// Minimum new L bytes before the commit pipeline's epoch leader seals
-  /// another audit epoch (see DESIGN.md, "Incremental certification").
-  /// 0 = seal on every durability barrier — the finest audit granularity
-  /// and the default; raise it to coalesce tiny commit epochs into fewer,
-  /// larger sealed epochs when Merkle hashing on the leader path matters.
-  uint64_t seal_min_bytes = 0;
-
   /// Writer threads the epoch-based commit pipeline admits (see
   /// DESIGN.md, "The epoch/sequencer commit pipeline"). 1 = the serial
   /// engine, no pipeline. > 1 creates the ticket turnstile: workers

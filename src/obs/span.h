@@ -3,15 +3,15 @@
 
 // Span tracing for the compliance pipeline: the one event record the
 // engine keeps. A span is a closed interval [start_us, end_us) carrying a
-// *causal key* — the txn id for commit-path work, the shipper batch id
-// for background drains, the epoch for audit phases and regret ticks, the
+// *causal key* — the txn id for commit-path work, the drain's batch id
+// for compliance-log drains outside a commit, the epoch for audit phases and regret ticks, the
 // tree id for TSB migration and vacuum — so a slow commit can be
 // decomposed after the fact into where the time actually went:
 //
 //   commit (txn)            — the whole client-visible CompliantDB::Commit
 //     commit.foreground     — engine work on the calling thread (residual)
-//     commit.queued         — blocked on the shipper durability barrier
-//     commit.drain          — WORM appends of an inline-stolen drain
+//     commit.queued         — waiting for another thread's drain to land
+//     commit.drain          — WORM appends of a drain run by this commit
 //     commit.worm_flush     — the fflush / simulated filer round trip
 //
 // The four segment durations are also recorded into the
@@ -20,11 +20,12 @@
 // span's duration (foreground is the residual).
 //
 // Propagation is by thread-local CommitSegments: CompliantDB::Commit
-// activates the slot (ScopedCommitSpan); the WAL, shipper, and WORM
-// layers attribute their intervals to it when active. A drain performed
-// by the background shipper thread has no active slot and is emitted as
-// `shipper.drain` / `shipper.worm_flush` spans keyed by batch id instead
-// (the committing thread's wait shows up as commit.queued).
+// activates the slot (ScopedCommitSpan); the WAL, compliance-log, and
+// WORM layers attribute their intervals to it when active. A drain on a
+// thread with no active slot (a pwrite barrier during eviction, a regret
+// tick) is emitted as `shipper.drain` / `shipper.worm_flush` spans keyed
+// by batch id instead (a committing thread waiting on it shows up as
+// commit.queued).
 //
 // Instants that bracket no work (txn begin/abort, compliance appends,
 // page forces, WORM appends) are not spans: the registry counters in
@@ -157,7 +158,7 @@ inline bool SpansEnabled() {
 }
 
 /// Thread-local accumulator for the commit in flight on this thread.
-/// Activated by ScopedCommitSpan; the shipper/WORM layers add their
+/// Activated by ScopedCommitSpan; the compliance-log/WORM layers add their
 /// measured intervals to it so the close can compute the residual.
 struct CommitSegments {
   uint64_t txn_id = 0;
@@ -171,7 +172,7 @@ struct CommitSegments {
 CommitSegments* ActiveCommitSegments();
 
 /// Attribute one measured interval to the active commit (emitting a
-/// commit.* span) or, with no commit on this thread, to the shipper batch
+/// commit.* span) or, with no commit on this thread, to the drain batch
 /// (emitting a shipper.* span keyed by `batch_id`). No-ops when spans are
 /// disabled — callers gate their clock reads on SpansEnabled().
 void RecordQueuedInterval(uint64_t start_us, uint64_t end_us);

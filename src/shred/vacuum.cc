@@ -202,25 +202,23 @@ Result<VacuumReport> Vacuumer::RunHistorical(Btree* tree,
 }
 
 Result<VacuumReport> Vacuumer::Recheck(
-    ComplianceLog* log, const std::map<uint32_t, Btree*>& trees) {
+    const std::vector<ShredRecord>& shreds,
+    const std::map<uint32_t, Btree*>& trees) {
   VacuumReport report;
-  if (log == nullptr) return report;
   TxnWalContext sys;
   sys.txn_id = 0;
   sys.log = wal_;
-  CDB_RETURN_IF_ERROR(log->Scan([&](const CRecord& rec, uint64_t) -> Status {
-    if (rec.type != CRecordType::kShredded) return Status::OK();
-    auto it = trees.find(rec.tree_id);
-    if (it == trees.end()) return Status::OK();
-    Status s = it->second->RemoveVersion(&sys, rec.key, rec.start,
+  for (const ShredRecord& shred : shreds) {
+    auto it = trees.find(shred.tree_id);
+    if (it == trees.end()) continue;
+    Status s = it->second->RemoveVersion(&sys, shred.key, shred.start,
                                          /*as_clr=*/false, 0);
     if (s.ok()) {
       ++report.requeued;
     } else if (!s.IsNotFound()) {
       return s;
     }
-    return Status::OK();
-  }));
+  }
   if (wal_ != nullptr && report.requeued > 0) {
     CDB_RETURN_IF_ERROR(wal_->FlushAll());
   }

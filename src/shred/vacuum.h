@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "btree/btree.h"
 #include "common/clock.h"
@@ -60,10 +61,11 @@ class Vacuumer {
   Result<VacuumReport> RunHistorical(Btree* tree, HistoricalStore* hist,
                                      uint64_t last_audit_time);
 
-  /// Post-crash completion: any tuple named by a SHREDDED record in L but
-  /// still present is erased ("the simplest implementation is just to
-  /// re-vacuum after recovery").
-  Result<VacuumReport> Recheck(ComplianceLog* log,
+  /// Post-crash completion: any tuple named by one of L's SHREDDED
+  /// records (`shreds`, as the logger's attach scan found them) but still
+  /// present is erased ("the simplest implementation is just to re-vacuum
+  /// after recovery").
+  Result<VacuumReport> Recheck(const std::vector<ShredRecord>& shreds,
                                const std::map<uint32_t, Btree*>& trees);
 
  private:

@@ -160,8 +160,8 @@ Status BufferCache::WriteOut(Frame* frame) {
 }
 
 // Batch write-out in three phases: every page's records are appended
-// (OnPageWrite), then every page's durability barrier runs — with the
-// async shipper the first barrier drains the whole ring, so one WORM
+// (OnPageWrite), then every page's durability barrier runs — with async
+// shipping the first barrier drains the log's whole tail, so one WORM
 // fflush covers the entire storm — and only then do the pwrites happen.
 // An error in any phase aborts before a single page reaches disk, which
 // preserves the compliance rule (no pwrite without its records on WORM).

@@ -203,9 +203,6 @@ void CommitPipeline::AcquirePartitionLatch(uint32_t tree_id) {
 
 Status CommitPipeline::WaitEpochDurable(uint64_t offset) {
   if (!barrier_ || offset == 0) return Status::OK();
-  // Offset the leader sealed up to this call; the seal hook runs after
-  // the wait loop, outside the epoch lock, so members never block on it.
-  uint64_t seal_target = 0;
   std::unique_lock<std::mutex> lock(epoch_mu_);
   if (!epoch_status_.ok()) return epoch_status_;
   if (offset > pending_target_) pending_target_ = offset;
@@ -230,7 +227,6 @@ Status CommitPipeline::WaitEpochDurable(uint64_t offset) {
       leader_active_ = false;
       if (s.ok()) {
         durable_target_ = std::max(durable_target_, batch_target);
-        seal_target = std::max(seal_target, batch_target);
       } else if (epoch_status_.ok()) {
         epoch_status_ = s;
       }
@@ -257,10 +253,6 @@ Status CommitPipeline::WaitEpochDurable(uint64_t offset) {
       }
       if (!epoch_status_.ok()) return epoch_status_;
     }
-  }
-  if (seal_target != 0 && seal_) {
-    lock.unlock();
-    seal_(seal_target);
   }
   return Status::OK();
 }

@@ -76,7 +76,7 @@ class CommitPipeline {
   /// Epoch durability barrier: make the compliance log durable through
   /// `offset`. Must be thread-safe and must not require the turnstile
   /// (CompliantDB wires ComplianceLogger::WaitCommitDurable, which rides
-  /// the async shipper's coalescing FlushThrough). May be empty when
+  /// the compliance log's coalescing FlushThrough). May be empty when
   /// compliance is disabled — epoch waits then no-op.
   using BarrierFn = std::function<Status(uint64_t offset)>;
 
@@ -153,15 +153,6 @@ class CommitPipeline {
   /// Epochs flushed so far (leader barrier runs).
   uint64_t epochs() const { return epoch_seq_.load(std::memory_order_relaxed); }
 
-  /// Post-barrier hook, run by the epoch leader after its barrier
-  /// succeeded, outside every pipeline lock, with the L offset the
-  /// barrier made durable. CompliantDB wires the epoch sealer here so
-  /// each durable commit epoch becomes a sealed audit epoch. Must be set
-  /// before the first commit (not thread-safe against in-flight slots)
-  /// and must never fail the commit — the hook returns nothing.
-  using SealFn = std::function<void(uint64_t offset)>;
-  void set_seal_fn(SealFn fn) { seal_ = std::move(fn); }
-
  private:
   struct SlotContext;
   static SlotContext& Tls();
@@ -171,7 +162,6 @@ class CommitPipeline {
   Status WaitEpochDurable(uint64_t offset);
 
   BarrierFn barrier_;
-  SealFn seal_;
   std::unique_ptr<SlotScheduler> scheduler_;
 
   // --- turnstile ---

@@ -238,12 +238,12 @@ Status TransactionManager::Commit(Transaction* txn) {
 
   // Only now may the compliance logger learn of the commit (§IV-B). With
   // async shipping this call is the group-commit ticket: it returns when
-  // the shipper has made this commit's STAMP_TRANS (and everything queued
-  // before it) durable, typically one amortized fflush for many records.
+  // this commit's STAMP_TRANS (and everything appended before it) is
+  // durable, typically one amortized fflush for many records.
   if (observer_ != nullptr) {
     obs::ScopedLatencyTimer ticket(Tm().commit_observer_us);
-    // The whole group-commit ticket as one span; the shipper splits it
-    // into queued / drain / worm_flush segments underneath.
+    // The whole group-commit ticket as one span; the compliance log splits
+    // it into queued / drain / worm_flush segments underneath.
     obs::ScopedSpan ticket_span(obs::SpanKind::kCommitTicket, txn->id_,
                                 commit_time);
     if (pipeline_ != nullptr && pipeline_->InSlot()) {

@@ -1,13 +1,16 @@
 // Asynchronous compliance-log shipping: determinism and crash windows.
 //
-// The shipper drains a FIFO ring on a single thread, so the bytes it
-// appends to L must be exactly the bytes sync mode would have written —
-// the first test proves this at the file level. The crash tests kill the
-// database (destructor without Close) at each interesting point relative
-// to the durability barriers: with records still pending in the ring,
-// after an eviction forced the dependent-pwrite barrier, and right after
-// a commit's full-flush barrier. In every window the auditor's verdict
-// must match what sync mode produces for the same crash.
+// Sync and async shipping share one in-memory tail that drains FIFO, one
+// drainer at a time; they differ only in when the logger flushes it. So
+// the bytes async mode appends to L must be exactly the bytes sync mode
+// writes — the first test proves this at the file level. The crash tests
+// kill the database (destructor without Close) at each interesting point
+// relative to the durability barriers: with records still pending in the
+// tail, after an eviction forced the dependent-pwrite barrier, and right
+// after a commit's full-flush barrier. Nothing drains the tail except a
+// barrier, so each window is deterministic. In every window the
+// auditor's verdict must match what sync mode produces for the same
+// crash.
 
 #include <gtest/gtest.h>
 
@@ -27,10 +30,6 @@ namespace complydb {
 namespace {
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
-
-// A group-commit window far longer than any test: background drains never
-// fire, so records sit in the ring until a barrier (or a crash) hits them.
-constexpr uint64_t kHugeWindow = 10ull * kMinute;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -56,8 +55,7 @@ class AsyncShippingTest : public ::testing::Test {
   }
 
   DbOptions MakeOptions(const std::string& dir, bool async,
-                        size_t cache_pages = 32,
-                        uint64_t window_micros = kHugeWindow) {
+                        size_t cache_pages = 32) {
     DbOptions opts;
     opts.dir = dir;
     opts.cache_pages = cache_pages;
@@ -65,7 +63,6 @@ class AsyncShippingTest : public ::testing::Test {
     opts.compliance.enabled = true;
     opts.compliance.regret_interval_micros = 5 * kMinute;
     opts.compliance.async_shipping = async;
-    opts.compliance.group_commit_window_micros = window_micros;
     return opts;
   }
 
@@ -124,7 +121,7 @@ void RunWorkload(CompliantDB* db, uint32_t table) {
   }
 }
 
-// With a single-threaded FIFO drain, async mode must produce the same L
+// With one FIFO tail for both policies, async mode must produce the same L
 // (and, after a clean close, the same stamp index) byte for byte.
 TEST_F(AsyncShippingTest, LogBytesIdenticalSyncVsAsync) {
   std::string contents[2][2];  // [mode][L, Lidx]
@@ -132,8 +129,7 @@ TEST_F(AsyncShippingTest, LogBytesIdenticalSyncVsAsync) {
     bool async = mode == 1;
     std::string dir = FreshDir(async ? "det_async" : "det_sync");
     clock_ = std::make_unique<SimulatedClock>();  // identical stamps per run
-    auto db = Open(MakeOptions(dir, async, /*cache_pages=*/16,
-                               /*window_micros=*/200));
+    auto db = Open(MakeOptions(dir, async, /*cache_pages=*/16));
     ASSERT_NE(db, nullptr);
     auto t = db->CreateTable("det");
     ASSERT_TRUE(t.ok());
@@ -148,9 +144,9 @@ TEST_F(AsyncShippingTest, LogBytesIdenticalSyncVsAsync) {
   EXPECT_EQ(contents[0][1], contents[1][1]) << "Lidx diverged sync vs async";
 }
 
-// Crash window 1: kill between ring-append and WORM flush, before any
-// dependent pwrite. Read-hash records queue behind the huge window (clean-
-// page evictions fire no barrier), so async loses the tail that sync made
+// Crash window 1: kill between tail-append and WORM flush, before any
+// dependent pwrite. Read-hash records wait in the tail (clean-page
+// evictions fire no barrier), so async loses the records that sync made
 // durable — the on-disk L sizes prove the window was real — yet the
 // auditor's verdict must match sync: a lost READ_HASH is indistinguishable
 // from crashing before the read.
@@ -179,13 +175,13 @@ TEST_F(AsyncShippingTest, CrashWithRecordsPendingInRing) {
       }
       // Quiesce: everything so far durable, all pages clean.
       ASSERT_TRUE(db->FlushAll().ok());
-      // Cache misses on clean pages: READ_HASH records enter the ring but
+      // Cache misses on clean pages: READ_HASH records enter the tail but
       // no pwrite barrier and no commit barrier ever drains them.
       std::string value;
       for (int i = 0; i < 300; ++i) {
         ASSERT_TRUE(db->Get(table, "seed" + std::to_string(i), &value).ok());
       }
-      // Crash: destructor without Close drops the ring.
+      // Crash: destructor without Close drops the tail.
     }
     log_sizes[mode] =
         std::filesystem::file_size(dir + "/worm/" + LogFileName(0));
@@ -206,7 +202,7 @@ TEST_F(AsyncShippingTest, CrashWithRecordsPendingInRing) {
 
 // Crash window 2: kill after dependent pwrites. The tiny cache evicts
 // dirty pages throughout the storm, so the pwrite barrier repeatedly
-// drains the ring (any page on disk has its records durable on WORM);
+// drains the tail (any page on disk has its records durable on WORM);
 // the crash then takes the still-queued tail of post-storm read hashes.
 // Committed data must survive and the audit must pass in both modes.
 TEST_F(AsyncShippingTest, CrashAfterDependentPageWrites) {
@@ -242,7 +238,7 @@ TEST_F(AsyncShippingTest, CrashAfterDependentPageWrites) {
             db->Get(table, "key" + std::to_string(i * 7919 % 1000), &value)
                 .ok());
       }
-      // Crash with evicted pages on disk and records pending in the ring.
+      // Crash with evicted pages on disk and records pending in the tail.
     }
     auto db = Open(MakeOptions(dir, async));
     ASSERT_NE(db, nullptr);
@@ -259,9 +255,9 @@ TEST_F(AsyncShippingTest, CrashAfterDependentPageWrites) {
 }
 
 // Crash window 3: the commit barrier returned, so the STAMP_TRANS (and
-// everything queued before it) is durable on WORM even though the huge
-// window guarantees no background drain ever ran. The committed data must
-// survive the crash and audit clean.
+// everything appended before it) is durable on WORM — the commit drained
+// the tail itself. The committed data must survive the crash and audit
+// clean.
 TEST_F(AsyncShippingTest, CommittedWorkSurvivesCrashAfterCommitBarrier) {
   std::string dir = FreshDir("commit_barrier");
   clock_ = std::make_unique<SimulatedClock>();
@@ -289,9 +285,9 @@ TEST_F(AsyncShippingTest, CommittedWorkSurvivesCrashAfterCommitBarrier) {
                                    << report.value().problems[0];
 }
 
-// Scans must observe records still in flight: the log read path waits for
-// the shipper to drain before scanning (an audit would otherwise race).
-TEST_F(AsyncShippingTest, ScanSeesRecordsQueuedBehindHugeWindow) {
+// Scans must observe records still in the tail: the log read path flushes
+// the tail before scanning (an audit would otherwise miss them).
+TEST_F(AsyncShippingTest, ScanSeesRecordsStillInTheTail) {
   std::string dir = FreshDir("scan_drain");
   auto db = Open(MakeOptions(dir, /*async=*/true));
   ASSERT_NE(db, nullptr);

@@ -153,6 +153,30 @@ TEST_F(BtreeTest, ManyKeysForceMultiLevelSplits) {
   }
 }
 
+// An internal node's entry 0 is -infinity: keys below its stored key
+// route to the leftmost child, and that child's splits then produce
+// separators below the stale entry-0 key. Such a separator belongs right
+// after entry 0, never before it — inserting it at slot 0 used to route
+// every key of the split page's left half into its right half.
+TEST_F(BtreeTest, KeysBelowFirstSeparatorSplitLeftmostChild) {
+  uint64_t ts = 1;
+  for (int i = 0; i < 300; ++i) {
+    Put(Numbered("m", 1000 + i), std::string(60, 'm'), ts++);
+  }
+  for (int i = 0; i < 300; ++i) {
+    Put(Numbered("a", 1000 + i), std::string(60, 'a'), ts++);
+  }
+  ExpectIntegrityOk();
+  for (const char* prefix : {"a", "m"}) {
+    for (int i = 0; i < 300; ++i) {
+      TupleData t;
+      std::string key = Numbered(prefix, 1000 + i);
+      ASSERT_TRUE(tree_->GetLatest(key, &t).ok()) << key;
+      EXPECT_EQ(t.key, key);
+    }
+  }
+}
+
 TEST_F(BtreeTest, SingleKeyManyVersionsSpansPages) {
   const int kN = 300;  // ~36 tuples/page -> versions span many leaves
   for (int i = 0; i < kN; ++i) {

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "btree/tuple.h"
 #include "common/clock.h"
+#include "common/coding.h"
 #include "compliance/compliance_log.h"
 #include "compliance/page_replay.h"
 #include "compliance/records.h"
@@ -158,6 +162,67 @@ TEST_F(ComplianceLogTest, OpenExistingResumesSize) {
   ASSERT_TRUE(log.OpenExisting().ok());
   EXPECT_EQ(log.record_count(), 1u);
   EXPECT_GT(log.size(), 0u);
+}
+
+// One appender and several threads draining the tail concurrently with
+// FlushThrough, under both of the logger's flush policies: sync flushes
+// after every append, async only at occasional barriers of its own. The
+// bytes on WORM must be the serial concatenation of the appends, and
+// durable_offset() must never move backwards.
+TEST_F(ComplianceLogTest, ConcurrentDrainersKeepAppendOrder) {
+  for (bool sync : {true, false}) {
+    SCOPED_TRACE(sync ? "sync" : "async");
+    const uint64_t epoch = sync ? 0 : 1;
+    ComplianceLog log(worm_.get(), epoch);
+    ASSERT_TRUE(log.Create().ok());
+    std::atomic<bool> done{false};
+    std::atomic<int> failures{0};
+    std::atomic<int> regressions{0};
+    std::vector<std::thread> drainers;
+    for (int d = 0; d < 3; ++d) {
+      drainers.emplace_back([&] {
+        uint64_t last = 0;
+        while (!done.load()) {
+          if (!log.FlushThrough(log.size()).ok()) ++failures;
+          const uint64_t now = log.durable_offset();
+          if (now < last) ++regressions;
+          last = now;
+        }
+      });
+    }
+    std::string want_log;
+    std::string want_index;
+    for (int i = 0; i < 3000 && failures.load() == 0; ++i) {
+      CRecord rec;
+      if (i % 3 == 0) {
+        rec.type = CRecordType::kStampTrans;
+        rec.txn_id = static_cast<TxnId>(1000 + i);
+        rec.commit_time = static_cast<uint64_t>(5000 + i);
+        PutFixed64(&want_index, rec.txn_id);
+        PutFixed64(&want_index, want_log.size());
+        PutFixed64(&want_index, rec.commit_time);
+      } else {
+        rec.type = CRecordType::kHeartbeat;
+        rec.timestamp = static_cast<uint64_t>(i);
+      }
+      want_log += rec.Encode();
+      Status s = sync ? log.Append(rec) : log.AppendUnflushed(rec);
+      if (s.ok() && !sync && i % 97 == 0) s = log.FlushThrough(log.size());
+      if (!s.ok()) ++failures;
+    }
+    done = true;
+    for (auto& t : drainers) t.join();
+    ASSERT_EQ(failures.load(), 0);
+    EXPECT_EQ(regressions.load(), 0);
+    ASSERT_TRUE(log.Flush().ok());
+    EXPECT_EQ(log.durable_offset(), want_log.size());
+    std::string got_log;
+    std::string got_index;
+    ASSERT_TRUE(worm_->ReadAll(LogFileName(epoch), &got_log).ok());
+    ASSERT_TRUE(worm_->ReadAll(StampIndexFileName(epoch), &got_index).ok());
+    EXPECT_EQ(got_log, want_log);
+    EXPECT_EQ(got_index, want_index);
+  }
 }
 
 TEST_F(ComplianceLogTest, SummarizeDetectsConflicts) {

@@ -8,8 +8,8 @@
 // first test proves this at the file level (L and the stamp index) and
 // compares the audit verdicts too. The crash test reuses the PR 3
 // crash-window harness: kill the database mid-run (destructor without
-// Close) with records queued behind a huge group-commit window, reopen,
-// and require recovery plus a clean audit.
+// Close) with records still in the compliance log's tail, reopen, and
+// require recovery plus a clean audit.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,6 @@ namespace {
 using testutil::Numbered;
 
 constexpr uint64_t kMinute = 60ull * 1'000'000;
-constexpr uint64_t kHugeWindow = 10ull * kMinute;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -67,7 +66,6 @@ class WritePipelineTest : public ::testing::Test {
   }
 
   DbOptions MakeOptions(const std::string& dir, uint32_t write_threads,
-                        uint64_t window_micros = 200,
                         size_t cache_pages = 128) {
     DbOptions opts;
     opts.dir = dir;
@@ -78,7 +76,6 @@ class WritePipelineTest : public ::testing::Test {
     // Async in every arm: write_threads > 1 would force it anyway, and
     // byte comparison needs the single-writer arm on the same path.
     opts.compliance.async_shipping = true;
-    opts.compliance.group_commit_window_micros = window_micros;
     opts.write_threads = write_threads;
     return opts;
   }
@@ -167,9 +164,10 @@ TEST_F(WritePipelineTest, LogBytesIdenticalAcrossWriteThreads) {
 }
 
 // PR 8's sealed chain must survive concurrent slot execution unchanged:
-// with sealing deferred past the mix (large seal_min_bytes) and one
-// quiescent SealEpochNow per arm, the chain file covers identical L
-// prefixes and hashes to identical bytes at every thread count.
+// the regret tick is the only seal point and it runs inside a slot, so
+// with default options (plus one quiescent SealEpochNow per arm) the
+// chain file covers identical L prefixes and hashes to identical bytes
+// at every thread count.
 TEST_F(WritePipelineTest, SealedChainBytesIdenticalAcrossWriteThreads) {
   const uint32_t kThreads[] = {1, 2, 4};
   const uint64_t kSlots = 100;
@@ -178,11 +176,7 @@ TEST_F(WritePipelineTest, SealedChainBytesIdenticalAcrossWriteThreads) {
     uint32_t wt = kThreads[i];
     std::string dir = FreshDir(Numbered("chain_wt", wt));
     clock_ = std::make_unique<SimulatedClock>();
-    DbOptions opts = MakeOptions(dir, wt);
-    // No mid-run seals: the leader's threshold is never reached, so the
-    // single post-quiescence seal covers the same L range in every arm.
-    opts.seal_min_bytes = 1ull << 40;
-    auto db = Open(opts);
+    auto db = Open(MakeOptions(dir, wt));
     ASSERT_NE(db, nullptr);
 
     tpcc::Workload workload(db.get(), SmallScale(), /*seed=*/7);
@@ -247,15 +241,14 @@ TEST_F(WritePipelineTest, SingleWarehouseConflictDegeneratesSerial) {
   ASSERT_TRUE(db->Close().ok());
 }
 
-// Crash after a concurrent TPC-C mix with records still queued behind a
-// huge group-commit window: recovery must reconcile WAL-durable commits
-// whose compliance tail died in the shipper ring, and the reopened
+// Crash after a concurrent TPC-C mix with records still in the compliance
+// log's tail: recovery must reconcile WAL-durable commits whose
+// compliance records died with the tail, and the reopened
 // database must audit clean and keep committing through the scheduler.
 TEST_F(WritePipelineTest, CrashAfterConcurrentMixRecoversAndAuditsClean) {
   std::string dir = FreshDir("crash_mix");
   {
-    auto db = Open(MakeOptions(dir, /*write_threads=*/4, kHugeWindow,
-                               /*cache_pages=*/16));
+    auto db = Open(MakeOptions(dir, /*write_threads=*/4, /*cache_pages=*/16));
     ASSERT_NE(db, nullptr);
     tpcc::Workload workload(db.get(), SmallScale(), /*seed=*/13);
     ASSERT_TRUE(workload.CreateOrAttachTables().ok());
@@ -265,10 +258,9 @@ TEST_F(WritePipelineTest, CrashAfterConcurrentMixRecoversAndAuditsClean) {
                                            clock_.get(),
                                            /*advance_micros=*/700, &stats);
     ASSERT_TRUE(run.ok()) << run.ToString();
-    // Crash: destructor without Close drops the ring mid-epoch.
+    // Crash: destructor without Close drops the tail mid-epoch.
   }
-  auto db = Open(MakeOptions(dir, /*write_threads=*/4, kHugeWindow,
-                             /*cache_pages=*/16));
+  auto db = Open(MakeOptions(dir, /*write_threads=*/4, /*cache_pages=*/16));
   ASSERT_NE(db, nullptr);
   EXPECT_TRUE(db->recovered_from_crash());
   tpcc::Workload workload(db.get(), SmallScale(), /*seed=*/13);
@@ -329,7 +321,7 @@ TEST_F(WritePipelineTest, ImplicitSlotsSerializeBareTransactions) {
 
 // COMPLYDB_WRITE_THREADS overrides DbOptions.write_threads without a
 // rebuild, and a multi-writer open forces async shipping (the epoch
-// barrier requires the shipper's thread-safe FlushThrough).
+// barrier is the pipeline's group commit).
 TEST_F(WritePipelineTest, EnvVarOverridesWriteThreads) {
   {
     ::setenv("COMPLYDB_WRITE_THREADS", "4", 1);
@@ -390,24 +382,23 @@ TEST_F(WritePipelineTest, AuditBusyReportsCounts) {
 }
 
 // Crash mid-epoch (PR 3's crash-window harness, multi-writer edition):
-// a 4-writer run against a huge group-commit window, killed without
-// Close while trailing records sit in the shipper ring. Recovery must
-// re-announce WAL-durable commits whose STAMPs died with the ring, the
+// a 4-writer run killed without Close while trailing records sit in the
+// compliance log's tail. Recovery must re-announce WAL-durable commits
+// whose STAMPs died with the tail, the
 // post-crash database must keep working at write_threads=4, and the
 // audit must come back clean.
 TEST_F(WritePipelineTest, CrashMidEpochRecoversAndAuditsClean) {
   std::string dir = FreshDir("crash");
   uint32_t table = 0;
   {
-    auto db = Open(MakeOptions(dir, /*write_threads=*/4, kHugeWindow,
-                               /*cache_pages=*/16));
+    auto db = Open(MakeOptions(dir, /*write_threads=*/4, /*cache_pages=*/16));
     ASSERT_NE(db, nullptr);
     auto t = db->CreateTable("crash");
     ASSERT_TRUE(t.ok());
     table = t.value();
     // The tiny cache evicts dirty pages mid-run, so the dependent-pwrite
-    // barrier drains the ring repeatedly; the crash then takes whatever
-    // queued after the last epoch barrier.
+    // barrier drains the tail repeatedly; the crash then takes whatever
+    // was appended after the last epoch barrier.
     std::vector<std::thread> pool;
     for (int w = 0; w < 4; ++w) {
       pool.emplace_back([&, w] {
@@ -423,10 +414,9 @@ TEST_F(WritePipelineTest, CrashMidEpochRecoversAndAuditsClean) {
       });
     }
     for (auto& th : pool) th.join();
-    // Crash: destructor without Close drops the ring mid-epoch.
+    // Crash: destructor without Close drops the tail mid-epoch.
   }
-  auto db = Open(MakeOptions(dir, /*write_threads=*/4, kHugeWindow,
-                             /*cache_pages=*/16));
+  auto db = Open(MakeOptions(dir, /*write_threads=*/4, /*cache_pages=*/16));
   ASSERT_NE(db, nullptr);
   EXPECT_TRUE(db->recovered_from_crash());
   std::string value;
