@@ -72,15 +72,12 @@ Status RedoIndexInsert(Page* page, Slice record) {
   uint64_t start = 0;
   PageId child = kInvalidPage;
   CDB_RETURN_IF_ERROR(DecodeIndexEntryKey(record, &key, &start, &child));
+  // Same position as Btree::InsertSeparator: right after the child the
+  // probe routes to, with entry 0 as -infinity.
   uint16_t idx = InternalFindChild(*page, key, start);
   uint16_t pos =
       page->slot_count() == 0 ? 0 : static_cast<uint16_t>(idx + 1);
   if (page->slot_count() > 0) {
-    Slice k0;
-    uint64_t s0;
-    PageId c0;
-    CDB_RETURN_IF_ERROR(DecodeIndexEntryKey(page->RecordAt(0), &k0, &s0, &c0));
-    if (CompareVersion(key, start, k0, s0) < 0) pos = 0;
     // Skip if this exact separator already exists.
     Slice ki;
     uint64_t si;

@@ -156,8 +156,8 @@ TEST_F(BtreeTest, ManyKeysForceMultiLevelSplits) {
 // An internal node's entry 0 is -infinity: keys below its stored key
 // route to the leftmost child, and that child's splits then produce
 // separators below the stale entry-0 key. Such a separator belongs right
-// after entry 0, never before it — inserting it at slot 0 used to route
-// every key of the split page's left half into its right half.
+// after entry 0, never before it — at slot 0 it would route every key of
+// the split page's left half into its right half.
 TEST_F(BtreeTest, KeysBelowFirstSeparatorSplitLeftmostChild) {
   uint64_t ts = 1;
   for (int i = 0; i < 300; ++i) {

@@ -242,5 +242,44 @@ TEST_F(RecoveryTest, CrashDuringHeavySplitsRecovers) {
   ExpectAuditOk();
 }
 
+// Redo of a separator insert must place it where the forward path did:
+// right after the child that split, even when it sorts below the internal
+// node's stale entry-0 key. The cache holds the whole tree, so the crash
+// loses every internal page and recovery rebuilds them from the WAL.
+TEST_F(RecoveryTest, RedoKeepsSeparatorsBelowEntryZeroAfterIt) {
+  DbOptions opts = MakeOptions();
+  opts.cache_pages = 256;
+  opts.verify_on_open = true;
+  {
+    auto r = CompliantDB::Open(opts);
+    ASSERT_TRUE(r.ok());
+    db_.reset(r.value());
+  }
+  auto t = db_->CreateTable("t");
+  ASSERT_TRUE(t.ok());
+  uint32_t tid = t.value();
+  for (const char* prefix : {"m", "a"}) {
+    for (int i = 0; i < 300; ++i) {
+      PutCommitted(tid, Numbered(prefix, 1000 + i), std::string(60, *prefix));
+    }
+  }
+  db_.reset();
+  {
+    auto r = CompliantDB::Open(opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    db_.reset(r.value());
+  }
+  EXPECT_TRUE(db_->recovered_from_crash());
+  std::string value;
+  for (const char* prefix : {"a", "m"}) {
+    for (int i = 0; i < 300; ++i) {
+      std::string key = Numbered(prefix, 1000 + i);
+      ASSERT_TRUE(db_->Get(tid, key, &value).ok()) << key;
+      EXPECT_EQ(value, std::string(60, *prefix)) << key;
+    }
+  }
+  ExpectAuditOk();
+}
+
 }  // namespace
 }  // namespace complydb

@@ -240,8 +240,9 @@ TEST_F(TpccTest, MultiWarehouseRemotePathsAuditClean) {
 // node's first separator lands in the leftmost child, and that child's
 // split can yield a separator at or below the stale entry-0 key. Entry 0
 // is -infinity for routing; this run (seed 3, two warehouses, a cache
-// holding the whole database) used to leave HISTORY with separators out
-// of order and the audit flagging a clean run.
+// holding the whole database) produces such separators in HISTORY, and
+// placing one before entry 0 leaves them out of order and the audit
+// flagging a clean run.
 TEST_F(TpccTest, HistoryTreeStaysOrderedUnderLoad) {
   DbOptions opts = MakeOptions();
   opts.cache_pages = 8192;
