@@ -40,7 +40,7 @@ int AuditAfterRun(Mode mode, uint64_t txns, bool tsb) {
   // 120 us simulated storage latency prices the run like the paper's NFS
   // testbed; the audit pays the same price for its sequential page scan.
   auto env = TpccEnv::Create(BenchDir("audit"), mode, 256, scale,
-                             /*seed=*/11, tsb, 0.5, /*io_latency=*/120);
+                             /*seed=*/11, tsb, 0.5, IoLatency{120, 120});
   if (!env.ok()) {
     std::fprintf(stderr, "setup: %s\n", env.status().ToString().c_str());
     return 1;
@@ -105,8 +105,7 @@ int ThreadSweep(uint64_t txns, const std::vector<uint32_t>& counts) {
   tpcc::Scale scale;
   auto env = TpccEnv::Create(BenchDir("audit_threads"),
                              Mode::kLogConsistentHashOnRead, 256, scale,
-                             /*seed=*/11, /*tsb=*/false, 0.5,
-                             /*io_latency=*/0);
+                             /*seed=*/11, /*tsb=*/false);
   if (!env.ok()) {
     std::fprintf(stderr, "setup: %s\n", env.status().ToString().c_str());
     return 1;
@@ -169,8 +168,7 @@ int IncrementalSweep(uint64_t steps, uint64_t txns_per_step) {
   tpcc::Scale scale;
   auto env = TpccEnv::Create(BenchDir("audit_incremental"),
                              Mode::kLogConsistentHashOnRead, 256, scale,
-                             /*seed=*/11, /*tsb=*/false, 0.5,
-                             /*io_latency=*/0);
+                             /*seed=*/11, /*tsb=*/false);
   if (!env.ok()) {
     std::fprintf(stderr, "setup: %s\n", env.status().ToString().c_str());
     return 1;

@@ -10,10 +10,9 @@
 //
 // With --commit-path the binary instead runs the commit-latency A/B sweep:
 // the same NewOrder stream against synchronous compliance shipping (one
-// WORM fflush per hook) and asynchronous group-commit shipping, and
-// writes BENCH_commit_path.json with both db.commit_us histograms. The
-// sync block is the stored baseline (bench/baselines/
-// BENCH_commit_path.sync-seed.json).
+// WORM fflush per hook) and asynchronous shipping (flushes only at the
+// pwrite and commit barriers), and writes BENCH_commit_path.json with
+// both db.commit_us histograms.
 //
 //   ./bench_fig3_runtime --commit-path [txns]
 //
@@ -21,8 +20,7 @@
 // TPC-C writer keeps committing on the main thread while K = 1, 2, 4
 // reader threads execute read-only OrderStatus/StockLevel over snapshot
 // handles. Aggregate read throughput per K lands in
-// BENCH_read_scaling.json (baseline: bench/baselines/
-// BENCH_read_scaling.seed.json).
+// BENCH_read_scaling.json.
 //
 //   ./bench_fig3_runtime --read-threads [window_ms]
 //
@@ -36,8 +34,7 @@
 // footprints, which fall back to exclusive admission and shrink the
 // disjoint gain. Throughput scales while the compliance log stays
 // byte-identical across *all* runs — the sweep verifies both and writes
-// BENCH_write_scaling.json (baseline: bench/baselines/
-// BENCH_write_scaling.seed.json).
+// BENCH_write_scaling.json.
 //
 //   ./bench_fig3_runtime --write-threads [slots] [--cross-rate bp]
 
@@ -81,7 +78,8 @@ int RunConfig(const Config& config, uint64_t total, uint64_t step) {
     auto env = TpccEnv::Create(BenchDir("fig3"), mode, config.cache_pages,
                                scale, /*seed=*/1234, /*tsb=*/false,
                                /*tsb_threshold=*/0.5,
-                               config.io_latency_micros);
+                               IoLatency{config.io_latency_micros,
+                                         config.io_latency_micros});
     if (!env.ok()) {
       std::fprintf(stderr, "setup failed: %s\n",
                    env.status().ToString().c_str());
@@ -157,8 +155,7 @@ int RunCommitPath(bool async, uint64_t txns, CommitPathResult* out) {
                              Mode::kLogConsistentHashOnRead,
                              /*cache_pages=*/192, scale, /*seed=*/1234,
                              /*tsb=*/false, /*tsb_threshold=*/0.5,
-                             /*io_latency_micros=*/0, async,
-                             /*worm_flush_latency_micros=*/100);
+                             IoLatency{.worm_flush_micros = 100}, async);
   if (!env.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
                  env.status().ToString().c_str());
@@ -329,7 +326,7 @@ int RunReadScalingPoint(uint32_t readers, uint64_t window_ms,
   auto env = TpccEnv::Create(BenchDir("read_scaling"), Mode::kLogConsistent,
                              /*cache_pages=*/160, scale, /*seed=*/1234,
                              /*tsb=*/false, /*tsb_threshold=*/0.5,
-                             /*io_latency_micros=*/150);
+                             IoLatency{150, 150});
   if (!env.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
                  env.status().ToString().c_str());
@@ -497,10 +494,9 @@ int RunWriteScalingPoint(uint32_t write_threads, bool scheduler_on,
       BenchDir("write_scaling"), Mode::kLogConsistent,
       /*cache_pages=*/192, scale, /*seed=*/1234,
       /*tsb=*/false, /*tsb_threshold=*/0.5,
-      /*io_latency_micros=*/0, /*async_shipping=*/true,
-      /*worm_flush_latency_micros=*/500, write_threads,
+      IoLatency{.read_micros = 500, .worm_flush_micros = 500},
+      /*async_shipping=*/true, write_threads,
       [scheduler_on](DbOptions* options) {
-        options->io_read_latency_micros = 500;
         options->slot_scheduler = scheduler_on;
       });
   if (!env.ok()) {

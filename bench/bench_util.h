@@ -52,6 +52,16 @@ struct Timer {
   void Reset() { start = std::chrono::steady_clock::now(); }
 };
 
+/// Simulated storage latency, in microseconds (0 = free). The paper's
+/// database and its WORM compliance store both sat on network filers;
+/// each page read, page write and durable WORM flush models one round
+/// trip to them.
+struct IoLatency {
+  uint64_t read_micros = 0;
+  uint64_t write_micros = 0;
+  uint64_t worm_flush_micros = 0;
+};
+
 /// One TPC-C environment: fresh directory, simulated clock, loaded tables.
 struct TpccEnv {
   std::unique_ptr<SimulatedClock> clock;
@@ -60,13 +70,12 @@ struct TpccEnv {
 
   /// `tweak`, when set, runs over the assembled DbOptions right before
   /// Open — the escape hatch for knobs too bench-specific to deserve a
-  /// positional parameter (read-side latency, scheduler on/off, ...).
+  /// positional parameter (scheduler on/off, ...).
   static Result<TpccEnv> Create(
       const std::string& dir, Mode mode, size_t cache_pages,
       const tpcc::Scale& scale, uint64_t seed, bool tsb = false,
-      double tsb_threshold = 0.5, uint64_t io_latency_micros = 0,
-      bool async_shipping = false, uint64_t worm_flush_latency_micros = 0,
-      uint32_t write_threads = 1,
+      double tsb_threshold = 0.5, const IoLatency& latency = {},
+      bool async_shipping = false, uint32_t write_threads = 1,
       const std::function<void(DbOptions*)>& tweak = nullptr) {
     std::filesystem::remove_all(dir);
     TpccEnv env;
@@ -74,14 +83,12 @@ struct TpccEnv {
     DbOptions options;
     options.dir = dir;
     options.cache_pages = cache_pages;
-    options.io_latency_micros = io_latency_micros;
     options.clock = env.clock.get();
     options.compliance.enabled = mode != Mode::kNative;
     options.compliance.hash_on_read =
         mode == Mode::kLogConsistentHashOnRead;
     options.compliance.regret_interval_micros = 5 * kMinute;
     options.compliance.async_shipping = async_shipping;
-    options.worm_flush_latency_micros = worm_flush_latency_micros;
     options.tsb_enabled = tsb;
     options.tsb_split_threshold = tsb_threshold;
     options.write_threads = write_threads;
@@ -90,6 +97,9 @@ struct TpccEnv {
     auto open = CompliantDB::Open(options);
     if (!open.ok()) return open.status();
     env.db.reset(open.value());
+    env.db->disk()->set_read_latency_micros(latency.read_micros);
+    env.db->disk()->set_write_latency_micros(latency.write_micros);
+    env.db->worm()->set_flush_latency_micros(latency.worm_flush_micros);
     env.workload =
         std::make_unique<tpcc::Workload>(env.db.get(), scale, seed);
     CDB_RETURN_IF_ERROR(env.workload->CreateOrAttachTables());

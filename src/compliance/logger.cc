@@ -44,8 +44,7 @@ Status ComplianceLogger::FlushLog() {
 Status ComplianceLogger::StartFreshEpoch(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled) return Status::OK();
-  log_ = std::make_unique<ComplianceLog>(worm_, epoch,
-                                         options_.repair_stamp_index);
+  log_ = std::make_unique<ComplianceLog>(worm_, epoch);
   CDB_RETURN_IF_ERROR(log_->Create());
   baseline_.clear();
   index_baseline_.clear();
@@ -63,6 +62,7 @@ Status ComplianceLogger::StartFreshEpoch(uint64_t epoch) {
 
 Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
                                        const Snapshot* snapshot,
+                                       bool repair_stamp_index,
                                        std::vector<ShredRecord>* shreds) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!options_.enabled) return Status::OK();
@@ -82,8 +82,7 @@ Status ComplianceLogger::AttachToEpoch(uint64_t epoch,
       replayer.SeedIndexPage(page.tree_id, page.pgno, page.records);
     }
   }
-  log_ = std::make_unique<ComplianceLog>(worm_, epoch,
-                                         options_.repair_stamp_index);
+  log_ = std::make_unique<ComplianceLog>(worm_, epoch, repair_stamp_index);
   CDB_RETURN_IF_ERROR(
       log_->OpenExisting([&](const CRecord& rec, uint64_t offset) {
         SummarizeRecord(rec, offset, &summary);

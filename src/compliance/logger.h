@@ -53,11 +53,6 @@ struct ComplianceOptions {
   /// bytes on WORM are identical; only their flush timing moves.
   /// Overridable at open via the COMPLYDB_COMPLIANCE_ASYNC env variable.
   bool async_shipping = false;
-
-  /// Rebuild a missing stamp-index tail from L on reattach (see
-  /// ComplianceLog). Disabled for read-only opens, which must not write
-  /// to WORM.
-  bool repair_stamp_index = true;
 };
 
 /// The compliance logging plugin. Implements the paper's pread/pwrite tap
@@ -87,8 +82,11 @@ class ComplianceLogger : public IoHook,
   /// post-recovery diffs are computed against log-consistent state. This
   /// is the open's only read of L; `shreds`, when set, receives L's
   /// SHREDDED records for the facade's own reopen work.
+  /// `repair_stamp_index` rebuilds a missing stamp-index tail from L (see
+  /// ComplianceLog).
   Status AttachToEpoch(uint64_t epoch, const Snapshot* snapshot,
-                       std::vector<ShredRecord>* shreds = nullptr);
+                       bool repair_stamp_index,
+                       std::vector<ShredRecord>* shreds);
 
   ComplianceLog* log() { return log_.get(); }
   uint64_t epoch() const { return log_ == nullptr ? 0 : log_->epoch(); }

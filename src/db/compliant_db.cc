@@ -91,29 +91,21 @@ Status CompliantDB::Init() {
   auto worm = WormStore::Open(options_.dir + "/worm", clock_);
   if (!worm.ok()) return worm.status();
   worm_.reset(worm.value());
-  worm_->set_flush_latency_micros(options_.worm_flush_latency_micros);
 
   auto disk = DiskManager::Open(db_path());
   if (!disk.ok()) return disk.status();
   disk_.reset(disk.value());
-  disk_->set_latency_micros(options_.io_latency_micros);
-  if (options_.io_read_latency_micros != 0) {
-    disk_->set_read_latency_micros(options_.io_read_latency_micros);
-  }
 
   auto wal = LogManager::Open(wal_path());
   if (!wal.ok()) return wal.status();
   wal_.reset(wal.value());
 
-  size_t shards = options_.cache_shards;
-  if (shards == 0) {
-    // Auto-sharding: enough shards that concurrent snapshot readers'
-    // misses overlap their (simulated) I/O, few enough that each shard
-    // still holds a useful LRU (>= ~8 frames per shard).
-    size_t limit = std::min<size_t>(
-        16, std::max<size_t>(1, options_.cache_pages / 8));
-    shards = 1;
-    while (shards * 2 <= limit) shards *= 2;
+  // Enough shards that concurrent snapshot readers' misses overlap their
+  // I/O, few enough that each shard still holds a useful LRU (>= ~8
+  // frames per shard).
+  size_t shards = 1;
+  while (shards * 2 <= std::min<size_t>(16, options_.cache_pages / 8)) {
+    shards *= 2;
   }
   cache_ = std::make_unique<BufferCache>(disk_.get(), options_.cache_pages,
                                          shards);
@@ -144,10 +136,8 @@ Status CompliantDB::Init() {
     options_.compliance.async_shipping = env[0] != '0' && env[0] != '\0';
   }
   if (options_.read_only) {
-    // A read-only facade appends nothing, so it reports the sync policy,
-    // and it must not repair the stamp index (that writes to WORM).
+    // A read-only facade appends nothing, so it reports the sync policy.
     options_.compliance.async_shipping = false;
-    options_.compliance.repair_stamp_index = false;
   }
 
   // Multi-writer commit pipeline (DESIGN.md, "The epoch/sequencer commit
@@ -204,8 +194,11 @@ Status CompliantDB::Init() {
         snapshot = std::make_unique<Snapshot>(snap.TakeValue());
         last_audit_time_ = snapshot->audit_time;
       }
-      CDB_RETURN_IF_ERROR(
-          logger_->AttachToEpoch(epoch_, snapshot.get(), &shreds));
+      // A read-only open must not repair the stamp index (that writes to
+      // WORM).
+      CDB_RETURN_IF_ERROR(logger_->AttachToEpoch(
+          epoch_, snapshot.get(), /*repair_stamp_index=*/!options_.read_only,
+          &shreds));
     }
   }
 
@@ -836,48 +829,23 @@ Status CompliantDB::Abort(Transaction* txn) {
 Status CompliantDB::GetAsOf(uint32_t table, Slice key, uint64_t time,
                             std::string* value) {
   std::vector<TupleData> versions;
-  CDB_RETURN_IF_ERROR(GetHistory(table, key, &versions));
-  const TupleData* best = nullptr;
-  uint64_t best_time = 0;
-  for (const auto& v : versions) {
-    uint64_t commit;
-    if (v.stamped) {
-      commit = v.start;
-    } else {
-      auto r = txns_->ResolveCommitTime(v.start);
-      if (!r.ok()) continue;
-      commit = r.value();
-    }
-    if (commit <= time && (best == nullptr || commit >= best_time)) {
-      best = &v;
-      best_time = commit;
-    }
-  }
-  if (best == nullptr || best->eol) {
-    return Status::NotFound("no version as of time");
-  }
-  *value = best->value;
+  CDB_RETURN_IF_ERROR(GatherVersions(*txns_, *hist_, table, key, &versions));
+  uint64_t commit;
+  const TupleData* v = VisibleAsOf(versions, time, *txns_, &commit);
+  if (v == nullptr) return Status::NotFound("no version as of time");
+  *value = v->value;
   return Status::OK();
 }
 
 Status CompliantDB::GetHistory(uint32_t table, Slice key,
                                std::vector<TupleData>* out) {
-  Btree* t = tree(table);
-  if (t == nullptr) return Status::InvalidArgument("unknown table");
-  out->clear();
-  std::vector<TupleData> migrated = hist_->GetVersions(table, key);
-  std::vector<TupleData> live;
-  CDB_RETURN_IF_ERROR(t->GetVersions(key, &live));
-  out->reserve(migrated.size() + live.size());
-  for (auto& v : migrated) out->push_back(std::move(v));
-  for (auto& v : live) out->push_back(std::move(v));
+  CDB_RETURN_IF_ERROR(GatherVersions(*txns_, *hist_, table, key, out));
   std::stable_sort(out->begin(), out->end(),
                    [](const TupleData& a, const TupleData& b) {
                      return a.start < b.start;
                    });
-  // A crash between the WORM write of a historical page and its MIGRATE
-  // record can leave a version both in the orphan page and the live tree;
-  // versions are unique by start time, so dedup here.
+  // Versions are unique by start; drop the orphan copies GatherVersions
+  // can return.
   out->erase(std::unique(out->begin(), out->end(),
                          [](const TupleData& a, const TupleData& b) {
                            return a.start == b.start;

@@ -39,15 +39,11 @@ struct DbOptions {
   std::string dir;
 
   /// Buffer cache capacity in 4 KB pages (the paper's 256 MB / 512 MB /
-  /// 32 MB knobs, scaled).
+  /// 32 MB knobs, scaled). The shard count is derived from it: the
+  /// largest power of two <= min(16, cache_pages / 8), at least 1. Each
+  /// shard has its own hash table, free list, LRU, and mutex, so
+  /// concurrent snapshot readers miss-and-load in parallel.
   size_t cache_pages = 256;
-
-  /// Buffer-cache shard count (rounded down to a power of two). Each shard
-  /// has its own hash table, free list, LRU, and mutex, so concurrent
-  /// snapshot readers miss-and-load in parallel. 0 = auto: the largest
-  /// power of two <= min(16, cache_pages / 8), at least 1. 1 reproduces
-  /// the single-threaded cache's exact global LRU order.
-  size_t cache_shards = 0;
 
   /// Compliance machinery (§IV–§V). compliance.enabled=false gives the
   /// "native Berkeley DB" baseline of Fig. 3.
@@ -64,22 +60,6 @@ struct DbOptions {
 
   /// Key whose holder can sign/verify snapshots (the auditor).
   std::string auditor_key = "auditor-secret-key";
-
-  /// Simulated storage-server latency per page I/O (0 = none). The
-  /// benchmark harness uses this to model the paper's NFS filer.
-  uint64_t io_latency_micros = 0;
-
-  /// Simulated latency for page *reads* only, overriding io_latency_micros
-  /// on the read side when non-zero. The write-scaling benchmark uses an
-  /// asymmetric profile (priced reads, free writes) to isolate how much
-  /// execute-phase read latency the disjoint-slot scheduler overlaps.
-  uint64_t io_read_latency_micros = 0;
-
-  /// Simulated WORM-server latency per durable flush (0 = none). The
-  /// paper's compliance store is a network-attached filer too; each
-  /// fflush of L models one round trip to it. The commit-path benchmark
-  /// sets this to expose the round trips group commit amortizes away.
-  uint64_t worm_flush_latency_micros = 0;
 
   /// Forensic inspection mode: no recovery, no compliance appends, every
   /// mutating API refused. The view can be stale after a crash (recovery

@@ -1,6 +1,6 @@
 #include "db/snapshot_reader.h"
 
-#include <vector>
+#include <algorithm>
 
 #include "db/compliant_db.h"
 #include "obs/metrics.h"
@@ -44,19 +44,39 @@ SnapshotReader::~SnapshotReader() {
   Sm().open_snapshots->Add(-1);
 }
 
-bool SnapshotReader::ResolveVisible(const TupleData& v, uint64_t limit,
-                                    uint64_t* commit) const {
-  if (v.stamped) {
-    *commit = v.start;
-  } else {
-    // Unstamped: start is a txn id. Committed ids resolve to a commit
-    // time (the entry is published before last_commit_time advances);
-    // the writer's in-flight txn resolves to nothing and stays invisible.
-    auto r = txns_->ResolveCommitTime(v.start);
-    if (!r.ok()) return false;
-    *commit = r.value();
+Status GatherVersions(const TransactionManager& txns,
+                      const HistoricalStore& hist, uint32_t table, Slice key,
+                      std::vector<TupleData>* out) {
+  Btree* tree = txns.GetTree(table);
+  if (tree == nullptr) return Status::InvalidArgument("unknown table");
+  CDB_RETURN_IF_ERROR(tree->GetVersions(key, out));
+  for (auto& h : hist.GetVersions(table, key)) out->push_back(std::move(h));
+  return Status::OK();
+}
+
+const TupleData* VisibleAsOf(const std::vector<TupleData>& versions,
+                             uint64_t limit, const TransactionManager& txns,
+                             uint64_t* commit_time) {
+  const TupleData* best = nullptr;
+  uint64_t best_time = 0;
+  for (const auto& v : versions) {
+    uint64_t commit = v.start;
+    if (!v.stamped) {
+      // Committed ids resolve to a commit time (the entry is published
+      // before last_commit_time advances); the writer's in-flight txn
+      // resolves to nothing.
+      auto r = txns.ResolveCommitTime(v.start);
+      if (!r.ok()) continue;
+      commit = r.value();
+    }
+    if (commit <= limit && (best == nullptr || commit > best_time)) {
+      best = &v;
+      best_time = commit;
+    }
   }
-  return *commit <= limit;
+  if (best == nullptr || best->eol) return nullptr;
+  *commit_time = best_time;
+  return best;
 }
 
 Status SnapshotReader::Get(uint32_t table, Slice key,
@@ -67,35 +87,14 @@ Status SnapshotReader::Get(uint32_t table, Slice key,
 Status SnapshotReader::GetAsOf(uint32_t table, Slice key, uint64_t time,
                                std::string* value) const {
   obs::ScopedLatencyTimer timer(Sm().get_us);
-  uint64_t limit = std::min(time, snap_);
-  Btree* tree = txns_->GetTree(table);
-  if (tree == nullptr) return Status::InvalidArgument("unknown table");
   Sm().reads->Inc();
-  // Live tree first, then WORM-migrated history: a time split can move
-  // the visible version between the two mid-read, but it cannot remove it
-  // from both, and a double sighting picks the same version either way
-  // (versions are unique by start).
   std::vector<TupleData> versions;
-  CDB_RETURN_IF_ERROR(tree->GetVersions(key, &versions));
-  if (hist_ != nullptr) {
-    for (auto& h : hist_->GetVersions(table, key)) {
-      versions.push_back(std::move(h));
-    }
-  }
-  const TupleData* best = nullptr;
-  uint64_t best_time = 0;
-  for (const auto& v : versions) {
-    uint64_t commit;
-    if (!ResolveVisible(v, limit, &commit)) continue;
-    if (best == nullptr || commit >= best_time) {
-      best = &v;
-      best_time = commit;
-    }
-  }
-  if (best == nullptr || best->eol) {
-    return Status::NotFound("no version as of time");
-  }
-  *value = best->value;
+  CDB_RETURN_IF_ERROR(GatherVersions(*txns_, *hist_, table, key, &versions));
+  uint64_t commit;
+  const TupleData* v =
+      VisibleAsOf(versions, std::min(time, snap_), *txns_, &commit);
+  if (v == nullptr) return Status::NotFound("no version as of time");
+  *value = v->value;
   return Status::OK();
 }
 
@@ -103,35 +102,18 @@ Status SnapshotReader::GetWithProof(uint32_t table, Slice key,
                                     std::string* value, uint64_t* commit_time,
                                     InclusionProof* proof) const {
   obs::ScopedLatencyTimer timer(Sm().get_us);
-  Btree* tree = txns_->GetTree(table);
-  if (tree == nullptr) return Status::InvalidArgument("unknown table");
   Sm().reads->Inc();
-  // Same version pick as GetAsOf, but the winning commit time is kept:
-  // the proof binds (key, value, commit time) as one unit.
   std::vector<TupleData> versions;
-  CDB_RETURN_IF_ERROR(tree->GetVersions(key, &versions));
-  if (hist_ != nullptr) {
-    for (auto& h : hist_->GetVersions(table, key)) {
-      versions.push_back(std::move(h));
-    }
-  }
-  const TupleData* best = nullptr;
-  uint64_t best_time = 0;
-  for (const auto& v : versions) {
-    uint64_t commit;
-    if (!ResolveVisible(v, snap_, &commit)) continue;
-    if (best == nullptr || commit >= best_time) {
-      best = &v;
-      best_time = commit;
-    }
-  }
-  if (best == nullptr || best->eol) {
-    return Status::NotFound("no version as of time");
-  }
-  auto proven = db_->ProveInclusion(table, best->key, best->value, best_time);
+  CDB_RETURN_IF_ERROR(GatherVersions(*txns_, *hist_, table, key, &versions));
+  // The version Get returns; the proof binds (key, value, commit time) as
+  // one unit.
+  uint64_t commit;
+  const TupleData* v = VisibleAsOf(versions, snap_, *txns_, &commit);
+  if (v == nullptr) return Status::NotFound("no version as of time");
+  auto proven = db_->ProveInclusion(table, v->key, v->value, commit);
   if (!proven.ok()) return proven.status();
-  *value = best->value;
-  *commit_time = best_time;
+  *value = v->value;
+  *commit_time = commit;
   *proof = proven.TakeValue();
   return Status::OK();
 }
@@ -155,24 +137,14 @@ Status SnapshotReader::ScanCurrent(
   auto flush = [&]() -> Status {
     if (!has_key) return Status::OK();
     has_key = false;
-    if (hist_ != nullptr) {
-      for (auto& h : hist_->GetVersions(table, cur_key)) {
-        group.push_back(std::move(h));
-      }
+    for (auto& h : hist_->GetVersions(table, cur_key)) {
+      group.push_back(std::move(h));
     }
-    const TupleData* best = nullptr;
-    uint64_t best_time = 0;
-    for (const auto& v : group) {
-      uint64_t commit;
-      if (!ResolveVisible(v, snap_, &commit)) continue;
-      if (best == nullptr || commit >= best_time) {
-        best = &v;
-        best_time = commit;
-      }
-    }
+    uint64_t commit;
+    const TupleData* visible = VisibleAsOf(group, snap_, *txns_, &commit);
     Status s = Status::OK();
-    if (best != nullptr && !best->eol) {
-      s = fn(*best);
+    if (visible != nullptr) {
+      s = fn(*visible);
       if (s.IsBusy()) {  // early-stop sentinel, as in ScanRangeCurrent
         stop = true;
         s = Status::OK();

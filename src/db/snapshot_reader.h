@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "audit/audit_cursor.h"
 #include "btree/tuple.h"
@@ -15,6 +16,31 @@
 namespace complydb {
 
 class CompliantDB;
+
+/// Every stored version of `key` in `table`, unsorted: the live tree's,
+/// then the WORM-migrated history's. Live first, because a time split
+/// writes the historical page before it erases the versions from the live
+/// leaf, so a version moved mid-read is seen at least once. A crash
+/// between a historical page's WORM write and its MIGRATE record can leave
+/// an orphan copy of a version in both. InvalidArgument for an unknown
+/// table.
+Status GatherVersions(const TransactionManager& txns,
+                      const HistoricalStore& hist, uint32_t table, Slice key,
+                      std::vector<TupleData>* out);
+
+/// The transaction-time visibility rule that every temporal read uses:
+/// the version of a key visible as of `limit` is the newest of `versions`
+/// whose commit time is <= `limit`. An unstamped version's start is a txn
+/// id that resolves through `txns`'s committed-transaction table; an
+/// in-flight or aborted one resolves to nothing and is invisible. Returns
+/// the visible version and its commit time, or nullptr when no version
+/// qualifies or the visible one is end-of-life (the key is deleted as of
+/// `limit`). The order of `versions` does not matter: versions are unique
+/// by start, so commit times tie only between orphan copies of one
+/// version.
+const TupleData* VisibleAsOf(const std::vector<TupleData>& versions,
+                             uint64_t limit, const TransactionManager& txns,
+                             uint64_t* commit_time);
 
 /// A read-only view of the database pinned at a commit timestamp.
 ///
@@ -70,10 +96,6 @@ class SnapshotReader {
   SnapshotReader(CompliantDB* db, TransactionManager* txns,
                  HistoricalStore* hist, uint64_t snap,
                  std::atomic<int>* open_count);
-
-  /// True if `v` committed at or before `limit`; outputs its commit time.
-  bool ResolveVisible(const TupleData& v, uint64_t limit,
-                      uint64_t* commit) const;
 
   CompliantDB* db_;
   TransactionManager* txns_;

@@ -53,25 +53,18 @@ class DiskManager {
     writes_.Reset();
   }
 
-  /// Simulated per-I/O latency. The paper's database lived on an
-  /// NFS-mounted filer where every page crossing cost a network round
-  /// trip; benchmarks set this so relative overheads are measured against
-  /// a realistically priced baseline rather than a page-cached local file.
-  /// Sets both directions; the per-direction setters below let benchmarks
-  /// model an asymmetric device (e.g. priced reads, free writes).
-  void set_latency_micros(uint64_t micros) {
-    read_latency_micros_ = micros;
-    write_latency_micros_ = micros;
-  }
-  uint64_t latency_micros() const { return read_latency_micros_; }
+  /// Simulated per-I/O latency, per direction. The paper's database lived
+  /// on an NFS-mounted filer where every page crossing cost a network
+  /// round trip; benchmarks set this so relative overheads are measured
+  /// against a realistically priced baseline rather than a page-cached
+  /// local file, or model an asymmetric device (priced reads, free
+  /// writes).
   void set_read_latency_micros(uint64_t micros) {
     read_latency_micros_ = micros;
   }
   void set_write_latency_micros(uint64_t micros) {
     write_latency_micros_ = micros;
   }
-  uint64_t read_latency_micros() const { return read_latency_micros_; }
-  uint64_t write_latency_micros() const { return write_latency_micros_; }
 
  private:
   DiskManager(std::string path, int fd, PageId page_count);

@@ -176,38 +176,6 @@ Status TransactionManager::Get(Transaction* txn, uint32_t tree_id, Slice key,
   return Status::OK();
 }
 
-Status TransactionManager::GetAsOf(uint32_t tree_id, Slice key, uint64_t time,
-                                   std::string* value) {
-  Btree* tree = GetTree(tree_id);
-  if (tree == nullptr) return Status::InvalidArgument("unknown tree");
-  std::vector<TupleData> versions;
-  CDB_RETURN_IF_ERROR(tree->GetVersions(key, &versions));
-  // Latest version whose commit time <= `time`; unstamped tuples resolve
-  // through the committed-txn table, uncommitted ones are invisible.
-  const TupleData* best = nullptr;
-  uint64_t best_time = 0;
-  std::shared_lock<std::shared_mutex> times_lock(times_mu_);
-  for (const auto& v : versions) {
-    uint64_t commit;
-    if (v.stamped) {
-      commit = v.start;
-    } else {
-      auto it = committed_times_.find(v.start);
-      if (it == committed_times_.end()) continue;
-      commit = it->second;
-    }
-    if (commit <= time && (best == nullptr || commit >= best_time)) {
-      best = &v;
-      best_time = commit;
-    }
-  }
-  if (best == nullptr || best->eol) {
-    return Status::NotFound("no version as of time");
-  }
-  *value = best->value;
-  return Status::OK();
-}
-
 Status TransactionManager::Commit(Transaction* txn) {
   if (txn == nullptr || txn != active_.get() ||
       txn->state_ != Transaction::State::kActive) {

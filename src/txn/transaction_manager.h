@@ -103,10 +103,6 @@ class TransactionManager {
   Status Get(Transaction* txn, uint32_t tree_id, Slice key,
              std::string* value);
 
-  /// Temporal read: the value of `key` as of commit time `time`.
-  Status GetAsOf(uint32_t tree_id, Slice key, uint64_t time,
-                 std::string* value);
-
   Status Commit(Transaction* txn);
   Status Abort(Transaction* txn);
 

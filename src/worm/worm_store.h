@@ -120,7 +120,6 @@ class WormStore {
   void set_flush_latency_micros(uint64_t micros) {
     flush_latency_micros_ = micros;
   }
-  uint64_t flush_latency_micros() const { return flush_latency_micros_; }
 
   Clock* clock() const { return clock_; }
   const std::string& dir() const { return dir_; }

@@ -2,7 +2,8 @@
 // commits, aborts, deletes, clock jumps, crashes, and audits, AS-OF
 // queries at ANY instant — exact commit boundaries, one tick either
 // side, random times, and the far future — must match a reference
-// timeline keyed by the real commit times.
+// timeline keyed by the real commit times, through the database and
+// through a snapshot pinned at the end of the run.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 
 #include "common/random.h"
 #include "db/compliant_db.h"
+#include "db/snapshot_reader.h"
 #include "test_dir.h"
 
 namespace complydb {
@@ -60,19 +62,31 @@ class TemporalChaosTest : public ::testing::TestWithParam<uint64_t> {
     db_.reset(r.value());
   }
 
-  // Checks GetAsOf against the model at one (key, time) point.
+  // Checks a read's outcome against the model's state.
+  static void ExpectState(Status s, const std::string& got,
+                          const std::optional<std::string>& expect,
+                          const std::string& what) {
+    if (expect.has_value()) {
+      ASSERT_TRUE(s.ok()) << what << ": " << s.ToString();
+      EXPECT_EQ(got, *expect) << what;
+    } else {
+      EXPECT_TRUE(s.IsNotFound()) << what << " should not exist, got "
+                                  << got;
+    }
+  }
+
+  // Checks GetAsOf against the model at one (key, time) point: the
+  // database's, and the pinned snapshot's when `at` is at or before its
+  // pin.
   void CheckAsOf(uint32_t table, const std::string& key,
                  const Timeline& events, uint64_t at) {
-    std::string got;
-    Status s = db_->GetAsOf(table, key, at, &got);
     std::optional<std::string> expect = StateAsOf(events, at);
-    if (expect.has_value()) {
-      ASSERT_TRUE(s.ok()) << "key " << key << " at " << at << ": "
-                          << s.ToString();
-      EXPECT_EQ(got, *expect) << "key " << key << " at " << at;
-    } else {
-      EXPECT_TRUE(s.IsNotFound()) << "key " << key << " at " << at
-                                  << " should not exist, got " << got;
+    std::string what = "key " + key + " at " + std::to_string(at);
+    std::string got;
+    ExpectState(db_->GetAsOf(table, key, at, &got), got, expect, what);
+    if (snap_ != nullptr && at <= snap_->snapshot_time()) {
+      ExpectState(snap_->GetAsOf(table, key, at, &got), got, expect,
+                  "snapshot " + what);
     }
   }
 
@@ -80,6 +94,7 @@ class TemporalChaosTest : public ::testing::TestWithParam<uint64_t> {
   testutil::TestDir test_dir_;
   std::string dir_;
   std::unique_ptr<CompliantDB> db_;
+  std::unique_ptr<SnapshotReader> snap_;  // released before db_
 };
 
 TEST_P(TemporalChaosTest, AsOfMatchesModelAtEveryInstant) {
@@ -165,10 +180,19 @@ TEST_P(TemporalChaosTest, AsOfMatchesModelAtEveryInstant) {
     }
   }
   ASSERT_GT(last_commit, 0u);
+  auto snap = db_->BeginSnapshot();
+  ASSERT_TRUE(snap.ok());
+  snap_.reset(snap.value());
+  ASSERT_GE(snap_->snapshot_time(), last_commit);
 
   // Exhaustive sweep: every key, at every commit boundary, one tick
-  // either side of it, random interior instants, and the far future.
+  // either side of it, random interior instants, and the far future;
+  // the snapshot's Get must see each key's state at its pin.
   for (const auto& [key, events] : model) {
+    std::string got;
+    ExpectState(snap_->Get(table, key, &got), got,
+                StateAsOf(events, snap_->snapshot_time()),
+                "snapshot Get of " + key);
     for (const auto& [time, value] : events) {
       CheckAsOf(table, key, events, time);
       CheckAsOf(table, key, events, time - 1);
@@ -188,7 +212,9 @@ TEST_P(TemporalChaosTest, AsOfMatchesModelAtEveryInstant) {
   CheckAsOf(table, "never-written", kEmpty, first_commit);
   CheckAsOf(table, "never-written", kEmpty, last_commit);
 
-  // And the whole run still audits clean.
+  // And the whole run still audits clean (Audit is Busy while a snapshot
+  // is open).
+  snap_.reset();
   auto report = db_->Audit();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().ok())
