@@ -11,7 +11,9 @@
 #include "bench_util.h"
 #include "btree/btree.h"
 #include "common/coding.h"
+#include "common/crc32.h"
 #include "common/random.h"
+#include "compliance/records.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "crypto/add_hash.h"
@@ -21,6 +23,7 @@
 #include "storage/buffer_cache.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
+#include "wal/log_record.h"
 
 namespace complydb {
 namespace {
@@ -212,6 +215,80 @@ void BM_TupleEncodeDecode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TupleEncodeDecode);
+
+// --- record framing: the CRC and codecs every WAL and L record pays ------
+
+void BM_Crc32(benchmark::State& state) {
+  Random rng(11);
+  std::string data = rng.Bytes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(512)->Arg(4096)->Arg(65536);
+
+// Arg: tuple bytes (TPC-C rows are 30-700 B; 4096 is a page-sized payload).
+void BM_WalRecordEncode(benchmark::State& state) {
+  Random rng(12);
+  WalRecord rec;
+  rec.type = WalRecordType::kTupleInsert;
+  rec.prev_lsn = rng.Next();
+  rec.txn_id = rng.Next();
+  rec.pgno = 17;
+  rec.tree_id = 3;
+  rec.tuple = rng.Bytes(static_cast<size_t>(state.range(0)));
+  std::string buf;
+  for (auto _ : state) {
+    buf.clear();
+    rec.EncodeTo(&buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_WalRecordEncode)->Arg(128)->Arg(4096);
+
+CRecord MakeNewTupleRecord(size_t tuple_bytes) {
+  Random rng(13);
+  CRecord rec;
+  rec.type = CRecordType::kNewTuple;
+  rec.tree_id = 3;
+  rec.pgno = 17;
+  rec.txn_id = rng.Next();
+  rec.timestamp = rng.Next();
+  rec.tuple = rng.Bytes(tuple_bytes);
+  return rec;
+}
+
+void BM_CRecordEncode(benchmark::State& state) {
+  CRecord rec = MakeNewTupleRecord(static_cast<size_t>(state.range(0)));
+  std::string buf;
+  for (auto _ : state) {
+    buf.clear();
+    rec.EncodeTo(&buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_CRecordEncode)->Arg(128)->Arg(4096);
+
+void BM_CRecordDecode(benchmark::State& state) {
+  const std::string framed =
+      MakeNewTupleRecord(static_cast<size_t>(state.range(0))).Encode();
+  CRecord back;
+  size_t consumed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CRecord::Decode(framed, &back, &consumed));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(framed.size()));
+}
+BENCHMARK(BM_CRecordDecode)->Arg(128)->Arg(4096);
 
 // --- observability layer overhead (ISSUE: < 3% vs compiled-out) ---------
 

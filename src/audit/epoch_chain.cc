@@ -99,14 +99,6 @@ Status GetDigest(Decoder* dec, Sha256Digest* out) {
   return Status::OK();
 }
 
-std::string Frame(const std::string& payload) {
-  std::string framed;
-  PutFixed32(&framed, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&framed, Crc32(payload));
-  framed.append(payload);
-  return framed;
-}
-
 Status Unframe(Slice in, Slice* payload, size_t* consumed,
                const char* what) {
   if (in.size() < 8) {
@@ -242,16 +234,18 @@ Sha256Digest ChainLink(const Sha256Digest& prev, const SealedEpoch& header) {
 // ---------------------------------------------------------------- records
 
 std::string SealedEpoch::Encode() const {
-  std::string payload;
-  PutFixed64(&payload, seq);
-  PutFixed64(&payload, audit_epoch);
-  PutFixed64(&payload, begin_offset);
-  PutFixed64(&payload, end_offset);
-  PutFixed64(&payload, record_count);
-  PutFixed64(&payload, sealed_time);
-  PutDigest(&payload, merkle_root);
-  PutDigest(&payload, chain);
-  return Frame(payload);
+  std::string framed;
+  const size_t frame = BeginFrame(&framed);
+  PutFixed64(&framed, seq);
+  PutFixed64(&framed, audit_epoch);
+  PutFixed64(&framed, begin_offset);
+  PutFixed64(&framed, end_offset);
+  PutFixed64(&framed, record_count);
+  PutFixed64(&framed, sealed_time);
+  PutDigest(&framed, merkle_root);
+  PutDigest(&framed, chain);
+  EndFrame(&framed, frame);
+  return framed;
 }
 
 Status SealedEpoch::Decode(Slice in, SealedEpoch* out, size_t* consumed) {
@@ -304,13 +298,15 @@ Result<std::vector<SealedEpoch>> ReadEpochChain(const WormStore* worm,
 }
 
 std::string CertificationRecord::Encode() const {
-  std::string payload;
-  PutFixed64(&payload, audit_epoch);
-  PutFixed64(&payload, certified_seq);
-  PutFixed64(&payload, certified_offset);
-  PutDigest(&payload, chain_digest);
-  PutDigest(&payload, mac);
-  return Frame(payload);
+  std::string framed;
+  const size_t frame = BeginFrame(&framed);
+  PutFixed64(&framed, audit_epoch);
+  PutFixed64(&framed, certified_seq);
+  PutFixed64(&framed, certified_offset);
+  PutDigest(&framed, chain_digest);
+  PutDigest(&framed, mac);
+  EndFrame(&framed, frame);
+  return framed;
 }
 
 Status CertificationRecord::Decode(Slice in, CertificationRecord* out,

@@ -41,9 +41,8 @@ Status DecodeTuple(Slice record, TupleData* out) {
   uint16_t rec_len = 0;
   CDB_RETURN_IF_ERROR(dec.GetFixed16(&rec_len));
   if (rec_len != record.size()) return Status::Corruption("tuple rec_len");
-  std::string flags_byte;
-  CDB_RETURN_IF_ERROR(dec.GetBytes(1, &flags_byte));
-  uint8_t flags = static_cast<uint8_t>(flags_byte[0]);
+  uint8_t flags = 0;
+  CDB_RETURN_IF_ERROR(dec.GetFixed8(&flags));
   out->eol = (flags & kFlagEol) != 0;
   out->stamped = (flags & kFlagStamped) != 0;
   CDB_RETURN_IF_ERROR(dec.GetFixed16(&out->order_no));

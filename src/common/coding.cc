@@ -83,6 +83,13 @@ uint64_t DecodeBigEndian64(const char* p) {
   return v;
 }
 
+Status Decoder::GetFixed8(uint8_t* v) {
+  if (input_.empty()) return Status::Corruption("truncated fixed8");
+  *v = static_cast<uint8_t>(input_[0]);
+  input_.remove_prefix(1);
+  return Status::OK();
+}
+
 Status Decoder::GetFixed16(uint16_t* v) {
   if (input_.size() < 2) return Status::Corruption("truncated fixed16");
   *v = DecodeFixed16(input_.data());

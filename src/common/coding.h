@@ -40,6 +40,7 @@ class Decoder {
  public:
   explicit Decoder(Slice input) : input_(input) {}
 
+  Status GetFixed8(uint8_t* v);
   Status GetFixed16(uint16_t* v);
   Status GetFixed32(uint32_t* v);
   Status GetFixed64(uint64_t* v);

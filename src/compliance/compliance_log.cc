@@ -17,13 +17,11 @@ std::string PadNum(uint64_t n) {
   return buf;
 }
 
-std::string StampIndexEntry(TxnId txn_id, uint64_t offset,
-                            uint64_t commit_time) {
-  std::string entry;
-  PutFixed64(&entry, txn_id);
-  PutFixed64(&entry, offset);
-  PutFixed64(&entry, commit_time);
-  return entry;
+void PutStampIndexEntry(std::string* dst, TxnId txn_id, uint64_t offset,
+                        uint64_t commit_time) {
+  PutFixed64(dst, txn_id);
+  PutFixed64(dst, offset);
+  PutFixed64(dst, commit_time);
 }
 
 struct TailMetrics {
@@ -98,7 +96,7 @@ Status ComplianceLog::OpenExisting(const RecordFn& fn) {
         ++records;
         if (repair && rec.type == CRecordType::kStampTrans &&
             ++stamps > have) {
-          missing += StampIndexEntry(rec.txn_id, offset, rec.commit_time);
+          PutStampIndexEntry(&missing, rec.txn_id, offset, rec.commit_time);
         }
         return fn ? fn(rec, offset) : Status::OK();
       }));
@@ -111,11 +109,15 @@ Status ComplianceLog::OpenExisting(const RecordFn& fn) {
 }
 
 Status ComplianceLog::AppendUnflushed(const CRecord& rec) {
-  std::string framed = rec.Encode();
+  // Encode (and checksum) outside mu_, so a drainer waiting for the lock
+  // never waits on the CRC; the buffer keeps its capacity across calls.
+  thread_local std::string framed;
+  framed.clear();
+  rec.EncodeTo(&framed);
   std::lock_guard<std::mutex> lock(mu_);
   CDB_RETURN_IF_ERROR(error_);
   if (rec.type == CRecordType::kStampTrans) {
-    pending_index_ += StampIndexEntry(rec.txn_id, size_, rec.commit_time);
+    PutStampIndexEntry(&pending_index_, rec.txn_id, size_, rec.commit_time);
   }
   pending_log_ += framed;
   size_ += framed.size();

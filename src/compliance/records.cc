@@ -28,29 +28,30 @@ Status GetStringList(Decoder* dec, std::vector<std::string>* out) {
 
 }  // namespace
 
-std::string CRecord::Encode() const {
-  std::string payload;
-  payload.push_back(static_cast<char>(type));
-  PutFixed32(&payload, tree_id);
-  PutFixed32(&payload, pgno);
-  PutFixed32(&payload, new_pgno);
-  PutFixed32(&payload, third_pgno);
-  PutFixed64(&payload, txn_id);
-  PutFixed64(&payload, commit_time);
-  PutFixed64(&payload, timestamp);
-  PutFixed16(&payload, order_no);
-  PutFixed64(&payload, start);
-  PutLengthPrefixed(&payload, tuple);
-  PutLengthPrefixed(&payload, key);
-  PutLengthPrefixed(&payload, hash);
-  PutLengthPrefixed(&payload, name);
-  PutStringList(&payload, entries_a);
-  PutStringList(&payload, entries_b);
+void CRecord::EncodeTo(std::string* dst) const {
+  const size_t frame = BeginFrame(dst);
+  dst->push_back(static_cast<char>(type));
+  PutFixed32(dst, tree_id);
+  PutFixed32(dst, pgno);
+  PutFixed32(dst, new_pgno);
+  PutFixed32(dst, third_pgno);
+  PutFixed64(dst, txn_id);
+  PutFixed64(dst, commit_time);
+  PutFixed64(dst, timestamp);
+  PutFixed16(dst, order_no);
+  PutFixed64(dst, start);
+  PutLengthPrefixed(dst, tuple);
+  PutLengthPrefixed(dst, key);
+  PutLengthPrefixed(dst, hash);
+  PutLengthPrefixed(dst, name);
+  PutStringList(dst, entries_a);
+  PutStringList(dst, entries_b);
+  EndFrame(dst, frame);
+}
 
+std::string CRecord::Encode() const {
   std::string framed;
-  PutFixed32(&framed, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&framed, Crc32(payload));
-  framed += payload;
+  EncodeTo(&framed);
   return framed;
 }
 
@@ -68,9 +69,9 @@ Status CRecord::Decode(Slice input, CRecord* out, size_t* consumed) {
     return Status::Corruption("compliance record bad crc");
   }
   Decoder dec(payload);
-  std::string type_byte;
-  CDB_RETURN_IF_ERROR(dec.GetBytes(1, &type_byte));
-  out->type = static_cast<CRecordType>(static_cast<uint8_t>(type_byte[0]));
+  uint8_t type_byte = 0;
+  CDB_RETURN_IF_ERROR(dec.GetFixed8(&type_byte));
+  out->type = static_cast<CRecordType>(type_byte);
   CDB_RETURN_IF_ERROR(dec.GetFixed32(&out->tree_id));
   CDB_RETURN_IF_ERROR(dec.GetFixed32(&out->pgno));
   CDB_RETURN_IF_ERROR(dec.GetFixed32(&out->new_pgno));

@@ -78,7 +78,10 @@ struct CRecord {
   std::vector<std::string> entries_b;
   std::string name;         // kMigrate: WORM historical page file name
 
-  /// Framed: len u32 | crc u32 | payload.
+  /// Appends the framed record (len u32 | crc u32 | payload) to *dst,
+  /// encoding the payload in place.
+  void EncodeTo(std::string* dst) const;
+  /// The framed record as a fresh string (EncodeTo on an empty one).
   std::string Encode() const;
   static Status Decode(Slice input, CRecord* out, size_t* consumed);
 };

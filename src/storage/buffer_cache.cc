@@ -1,8 +1,11 @@
 #include "storage/buffer_cache.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 
 namespace complydb {
@@ -24,7 +27,16 @@ BufferCache::BufferCache(DiskManager* disk, size_t capacity, size_t shards)
       capacity_(capacity == 0 ? 1 : capacity),
       num_shards_(FloorPow2Clamped(shards, capacity == 0 ? 1 : capacity)),
       shard_mask_(num_shards_ - 1) {
+  // The page bodies come zeroed from calloc, which for a large pool maps
+  // zero pages that become resident only when a frame is first used, so
+  // a big cache costs memory as it fills, not up front. Page is trivially
+  // copyable and destructible, so zeroed storage is a valid blank Page.
+  static_assert(std::is_trivially_copyable_v<Page> &&
+                std::is_trivially_destructible_v<Page>);
+  pages_.reset(static_cast<Page*>(std::calloc(capacity_, sizeof(Page))));
+  if (pages_ == nullptr) throw std::bad_alloc();
   frames_ = std::make_unique<Frame[]>(capacity_);
+  for (size_t i = 0; i < capacity_; ++i) frames_[i].page = &pages_[i];
   shards_ = std::make_unique<Shard[]>(num_shards_);
   auto& reg = obs::MetricsRegistry::Global();
   // Frames are partitioned statically: shard s owns the contiguous index
@@ -148,12 +160,12 @@ void BufferCache::LruPushLru(Shard* shard, size_t idx) {
 
 Status BufferCache::WriteOut(Frame* frame) {
   for (IoHook* hook : hooks_) {
-    CDB_RETURN_IF_ERROR(hook->OnPageWrite(frame->pgno, frame->page));
+    CDB_RETURN_IF_ERROR(hook->OnPageWrite(frame->pgno, *frame->page));
   }
   for (IoHook* hook : hooks_) {
     CDB_RETURN_IF_ERROR(hook->OnPageWriteBarrier(frame->pgno));
   }
-  CDB_RETURN_IF_ERROR(disk_->WritePage(frame->pgno, frame->page));
+  CDB_RETURN_IF_ERROR(disk_->WritePage(frame->pgno, *frame->page));
   SetClean(frame);
   frame->marked = false;
   return Status::OK();
@@ -169,7 +181,7 @@ Status BufferCache::WriteOutBatch(const std::vector<size_t>& batch) {
   for (size_t idx : batch) {
     Frame* frame = &frames_[idx];
     for (IoHook* hook : hooks_) {
-      CDB_RETURN_IF_ERROR(hook->OnPageWrite(frame->pgno, frame->page));
+      CDB_RETURN_IF_ERROR(hook->OnPageWrite(frame->pgno, *frame->page));
     }
   }
   for (size_t idx : batch) {
@@ -179,7 +191,7 @@ Status BufferCache::WriteOutBatch(const std::vector<size_t>& batch) {
   }
   for (size_t idx : batch) {
     Frame* frame = &frames_[idx];
-    CDB_RETURN_IF_ERROR(disk_->WritePage(frame->pgno, frame->page));
+    CDB_RETURN_IF_ERROR(disk_->WritePage(frame->pgno, *frame->page));
     SetClean(frame);
     frame->marked = false;
   }
@@ -265,7 +277,7 @@ Status BufferCache::FetchPage(PageId pgno, Page** out, PageLatchMode mode) {
       // never wait on a latch while holding a shard mutex).
       lock.unlock();
       AcquireLatch(frame, mode);
-      *out = &frame->page;
+      *out = frame->page;
       return Status::OK();
     }
     auto of_it = shard.overflow.find(pgno);
@@ -328,13 +340,13 @@ Status BufferCache::FetchPage(PageId pgno, Page** out, PageLatchMode mode) {
     }
     size_t idx = victim.value();
     Frame* frame = &frames_[idx];
-    Status s = disk_->ReadPage(pgno, &frame->page);
+    Status s = disk_->ReadPage(pgno, frame->page);
     if (!s.ok()) {
       shard.free_list.push_back(idx);
       return s;
     }
     for (IoHook* hook : hooks_) {
-      Status hs = hook->OnPageRead(pgno, frame->page);
+      Status hs = hook->OnPageRead(pgno, *frame->page);
       if (!hs.ok()) {
         shard.free_list.push_back(idx);
         return hs;
@@ -348,7 +360,7 @@ Status BufferCache::FetchPage(PageId pgno, Page** out, PageLatchMode mode) {
     // Uncontended: the frame was free or just evicted at pin_count == 0,
     // and every latch holder keeps a pin, so the latch cannot be held.
     AcquireLatch(frame, mode);
-    *out = &frame->page;
+    *out = frame->page;
     return Status::OK();
   }
 }
@@ -370,14 +382,14 @@ Result<PageId> BufferCache::NewPage(Page** out, PageLatchMode mode) {
   if (!victim.ok()) return victim.status();
   size_t idx = victim.value();
   Frame* frame = &frames_[idx];
-  frame->page.Zero();
+  frame->page->Zero();
   frame->pgno = pgno;
   SetDirty(&shard, frame);
   frame->marked = false;
   frame->pin_count.store(1, std::memory_order_relaxed);
   shard.table[pgno] = idx;
   AcquireLatch(frame, mode);  // uncontended, same argument as FetchPage
-  *out = &frame->page;
+  *out = frame->page;
   return pgno;
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -124,7 +125,7 @@ class BufferCache {
   static constexpr size_t kNil = static_cast<size_t>(-1);
 
   struct Frame {
-    Page page;
+    Page* page = nullptr;        // this frame's slot in pages_
     PageId pgno = kInvalidPage;  // kInvalidPage = not resident
     bool dirty = false;          // guarded by the owning shard's mutex
     bool marked = false;         // guarded by the owning shard's mutex
@@ -198,6 +199,10 @@ class BufferCache {
   size_t capacity_;
   size_t num_shards_;
   size_t shard_mask_;
+  struct FreeDeleter {
+    void operator()(Page* p) const { std::free(p); }
+  };
+  std::unique_ptr<Page[], FreeDeleter> pages_;  // capacity_ calloc'd pages
   std::unique_ptr<Frame[]> frames_;
   std::unique_ptr<Shard[]> shards_;
   std::vector<IoHook*> hooks_;

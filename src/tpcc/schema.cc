@@ -186,9 +186,9 @@ Status OrderRow::Decode(Slice data, OrderRow* out) {
   CDB_RETURN_IF_ERROR(dec.GetFixed64(&out->entry_d));
   CDB_RETURN_IF_ERROR(dec.GetFixed32(&out->carrier_id));
   CDB_RETURN_IF_ERROR(dec.GetFixed32(&out->ol_cnt));
-  std::string flag;
-  CDB_RETURN_IF_ERROR(dec.GetBytes(1, &flag));
-  out->all_local = flag[0] != 0;
+  uint8_t flag = 0;
+  CDB_RETURN_IF_ERROR(dec.GetFixed8(&flag));
+  out->all_local = flag != 0;
   return Status::OK();
 }
 

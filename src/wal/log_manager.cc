@@ -79,7 +79,7 @@ LogManager::~LogManager() {
 Lsn LogManager::Append(WalRecord* rec) {
   std::lock_guard<std::mutex> lock(mu_);
   rec->lsn = durable_end_ + pending_.size();
-  pending_ += rec->Encode();
+  rec->EncodeTo(&pending_);
   Wm().appends->Inc();
   return rec->lsn;
 }

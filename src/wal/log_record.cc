@@ -5,23 +5,24 @@
 
 namespace complydb {
 
-std::string WalRecord::Encode() const {
-  std::string payload;
-  payload.push_back(static_cast<char>(type));
-  PutFixed64(&payload, prev_lsn);
-  PutFixed64(&payload, txn_id);
-  PutFixed32(&payload, pgno);
-  PutFixed32(&payload, tree_id);
-  PutFixed16(&payload, order_no);
-  PutFixed64(&payload, commit_time);
-  PutFixed64(&payload, undo_next);
-  PutLengthPrefixed(&payload, tuple);
-  PutLengthPrefixed(&payload, page_image);
+void WalRecord::EncodeTo(std::string* dst) const {
+  const size_t frame = BeginFrame(dst);
+  dst->push_back(static_cast<char>(type));
+  PutFixed64(dst, prev_lsn);
+  PutFixed64(dst, txn_id);
+  PutFixed32(dst, pgno);
+  PutFixed32(dst, tree_id);
+  PutFixed16(dst, order_no);
+  PutFixed64(dst, commit_time);
+  PutFixed64(dst, undo_next);
+  PutLengthPrefixed(dst, tuple);
+  PutLengthPrefixed(dst, page_image);
+  EndFrame(dst, frame);
+}
 
+std::string WalRecord::Encode() const {
   std::string framed;
-  PutFixed32(&framed, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&framed, Crc32(payload));
-  framed += payload;
+  EncodeTo(&framed);
   return framed;
 }
 
@@ -36,9 +37,9 @@ Status WalRecord::Decode(Slice input, WalRecord* out, size_t* consumed) {
   if (Crc32(payload) != crc) return Status::Corruption("wal: bad record crc");
 
   Decoder body(payload);
-  std::string type_byte;
-  CDB_RETURN_IF_ERROR(body.GetBytes(1, &type_byte));
-  out->type = static_cast<WalRecordType>(static_cast<uint8_t>(type_byte[0]));
+  uint8_t type_byte = 0;
+  CDB_RETURN_IF_ERROR(body.GetFixed8(&type_byte));
+  out->type = static_cast<WalRecordType>(type_byte);
   CDB_RETURN_IF_ERROR(body.GetFixed64(&out->prev_lsn));
   CDB_RETURN_IF_ERROR(body.GetFixed64(&out->txn_id));
   CDB_RETURN_IF_ERROR(body.GetFixed32(&out->pgno));

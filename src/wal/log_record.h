@@ -60,7 +60,10 @@ struct WalRecord {
   // kPageImage: the full page bytes (kPageSize).
   std::string page_image;
 
-  /// Serializes to framed bytes: len u32 | crc u32 | payload.
+  /// Appends the framed record (len u32 | crc u32 | payload) to *dst,
+  /// encoding the payload in place.
+  void EncodeTo(std::string* dst) const;
+  /// The framed record as a fresh string (EncodeTo on an empty one).
   std::string Encode() const;
 
   /// Decodes one framed record from the front of `input`; on success sets

@@ -99,9 +99,9 @@ Status WormStore::LoadMeta() {
     CDB_RETURN_IF_ERROR(dec.GetFixed64(&info.create_time_micros));
     CDB_RETURN_IF_ERROR(dec.GetFixed64(&info.retention_micros));
     CDB_RETURN_IF_ERROR(dec.GetFixed64(&info.size));
-    std::string released;
-    CDB_RETURN_IF_ERROR(dec.GetBytes(1, &released));
-    info.released = released[0] != 0;
+    uint8_t released = 0;
+    CDB_RETURN_IF_ERROR(dec.GetFixed8(&released));
+    info.released = released != 0;
     // Reconcile with the actual file (appends persist sizes lazily).
     std::error_code ec;
     auto actual = fs::file_size(PathFor(name), ec);

@@ -1,11 +1,13 @@
 #include "storage/buffer_cache.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -72,6 +74,49 @@ TEST_F(BufferCacheTest, NewPageRoundTrip) {
   BufferCache cache(disk_.get(), 4);
   PageId p = Alloc(&cache, 0xABCD);
   EXPECT_EQ(ReadStamp(&cache, p), 0xABCDu);
+}
+
+// Resident set size of this process, from /proc/self/statm (0 when the
+// file is unreadable, e.g. off Linux).
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  if (!(statm >> total_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// The page pool is calloc'd, so frames cost resident memory only once
+// used: a 32768-frame (128 MB) cache must not write its pool up front.
+TEST_F(BufferCacheTest, LargeCacheTouchesPageMemoryOnlyWhenUsed) {
+  const size_t before = ResidentBytes();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/statm";
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan's calloc writes zeros over the whole allocation";
+#endif
+  BufferCache cache(disk_.get(), 32768);
+  const size_t after = ResidentBytes();
+  EXPECT_LT(after, before + (16u << 20))
+      << "constructing the cache made " << (after - before) / 1024
+      << " KB resident";
+
+  Page* page = nullptr;
+  auto r = cache.NewPage(&page);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(page->AsSlice(), Slice(std::string(kPageSize, '\0')));
+  cache.Unpin(r.value(), /*dirty=*/true);
+}
+
+// NewPage hands out a zeroed frame even when it recycles one that held
+// another page's bytes.
+TEST_F(BufferCacheTest, NewPageZeroesARecycledFrame) {
+  BufferCache cache(disk_.get(), 1);
+  Alloc(&cache, 0xFFFFFFFFu);
+  Page* page = nullptr;
+  auto r = cache.NewPage(&page);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(page->AsSlice(), Slice(std::string(kPageSize, '\0')));
+  cache.Unpin(r.value(), /*dirty=*/true);
 }
 
 TEST_F(BufferCacheTest, EvictionWritesDirtyAndReloads) {

@@ -88,6 +88,115 @@ TEST(CRecordTest, DecodeRejectsFlippedByte) {
   EXPECT_TRUE(CRecord::Decode(framed, &back, &consumed).IsCorruption());
 }
 
+// Golden frames of the WAL and L codecs, captured from the encoder that
+// built each payload in a temporary string and checksummed it bytewise.
+// In-place framing and the table-driven CRC must reproduce them exactly:
+// L bytes feed the audit digests, so any change here is a format change.
+std::string FromHex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// EncodeTo appends exactly `golden` after existing bytes, Encode() returns
+// it, and Decode rejects every single-byte flip and a one-byte truncation.
+template <typename Record>
+void CheckGoldenFrame(const Record& rec, const std::string& golden) {
+  EXPECT_EQ(rec.Encode(), golden);
+  std::string dst = "existing";
+  rec.EncodeTo(&dst);
+  EXPECT_EQ(dst, "existing" + golden);
+
+  Record back;
+  size_t consumed = 0;
+  ASSERT_TRUE(Record::Decode(golden, &back, &consumed).ok());
+  EXPECT_EQ(consumed, golden.size());
+  EXPECT_EQ(back.Encode(), golden);
+  for (size_t i = 0; i < golden.size(); ++i) {
+    std::string flipped = golden;
+    flipped[i] ^= 0x01;
+    EXPECT_TRUE(Record::Decode(flipped, &back, &consumed).IsCorruption())
+        << "flip at byte " << i;
+  }
+  EXPECT_TRUE(Record::Decode(Slice(golden.data(), golden.size() - 1), &back,
+                             &consumed)
+                  .IsCorruption());
+}
+
+TEST(CodecGoldenTest, WalRecordWithPageImage) {
+  std::string image(kPageSize, '\0');
+  for (size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<char>(i * 31 + 7);
+  }
+  WalRecord rec;
+  rec.type = WalRecordType::kPageImage;
+  rec.prev_lsn = 0x1122;
+  rec.txn_id = 7;
+  rec.pgno = 42;
+  rec.tree_id = 3;
+  rec.page_image = image;
+  CheckGoldenFrame(
+      rec, FromHex("33100000e9ee2d9808221100000000000007000000000000002a"
+                   "0000000300000000000000000000000000000000000000000000"
+                   "00000000100000") +
+               image);
+}
+
+TEST(CodecGoldenTest, WalRecordWithoutPageImage) {
+  WalRecord rec;
+  rec.type = WalRecordType::kTupleInsert;
+  rec.prev_lsn = 96;
+  rec.txn_id = 9;
+  rec.pgno = 5;
+  rec.tree_id = 2;
+  rec.tuple = std::string("tuple-bytes\x00\x01", 13);
+  rec.order_no = 3;
+  rec.commit_time = 0x0102030405060708ull;
+  rec.undo_next = 40;
+  CheckGoldenFrame(
+      rec, FromHex("4000000048ebad7a056000000000000000090000000000000005"
+                   "000000020000000300080706050403020128000000000000000d"
+                   "0000007475706c652d6279746573000100000000"));
+}
+
+TEST(CodecGoldenTest, CRecordWithEntries) {
+  CRecord rec;
+  rec.type = CRecordType::kPageSplit;
+  rec.tree_id = 4;
+  rec.pgno = 10;
+  rec.new_pgno = 11;
+  rec.txn_id = 12;
+  rec.timestamp = 99;
+  rec.entries_a = {"a1", "a22"};
+  rec.entries_b = {"b333"};
+  CheckGoldenFrame(
+      rec, FromHex("60000000cf0d92d806040000000a0000000b000000ffffffff0c"
+                   "0000000000000000000000000000006300000000000000000000"
+                   "0000000000000000000000000000000000000000000000020000"
+                   "0002000000613103000000613232010000000400000062333333"));
+}
+
+TEST(CodecGoldenTest, CRecordWithoutEntries) {
+  CRecord rec;
+  rec.type = CRecordType::kStampTrans;
+  rec.txn_id = 77;
+  rec.commit_time = 123456789;
+  rec.timestamp = 5;
+  rec.start = 0xABCDEF;
+  rec.order_no = 513;
+  rec.tuple = "t";
+  rec.key = "k";
+  rec.hash = "h";
+  rec.name = "n";
+  CheckGoldenFrame(
+      rec, FromHex("4f0000007810b26d0200000000ffffffffffffffffffffffff4d"
+                   "0000000000000015cd5b070000000005000000000000000102ef"
+                   "cdab00000000000100000074010000006b010000006801000000"
+                   "6e0000000000000000"));
+}
+
 TEST(CRecordTest, ScanMultipleRecords) {
   std::string blob;
   for (int i = 0; i < 5; ++i) {
